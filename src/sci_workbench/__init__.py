@@ -1,7 +1,8 @@
 """Workbench for exact-input computational problems.
 
 Problems expose their inputs only through query oracles; general algorithms
-are adaptive protocols over the answers; towers evaluate at finite stages.
+are generator protocols that yield query ids, receive the answers and return
+their output; towers evaluate at finite stages.
 Reductions transport algorithms and towers between problems, and the
 certificate layer turns verified transport plus recorded classifications
 into family-level exactness verdicts.
@@ -12,7 +13,6 @@ from .core import (
     ConvergenceReport,
     GeneralAlgorithm,
     InputCatalog,
-    Output,
     OutputSpace,
     Problem,
     QueryFamily,

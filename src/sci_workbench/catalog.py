@@ -173,11 +173,18 @@ def reduction_from_json(spec: dict) -> Reduction:
     Rules: "identity" (over any catalog entry), "integration_affine"
     (between two interval problems; source defaults to the unit interval),
     "spectral_forward" / "spectral_backward" (two sides of block-diagonal
-    stabilization).
+    stabilization).  A malformed spec raises :class:`CatalogError`.
     """
+    if not isinstance(spec, dict):
+        raise CatalogError(f"a reduction spec must be a JSON object, got {type(spec).__name__}")
     rule = spec.get("rule")
-    params = spec.get("params", {})
+    try:
+        return _named_reduction(rule, spec.get("params", {}))
+    except (KeyError, TypeError, ValueError) as exc:
+        raise CatalogError(f"reduction rule {rule!r}: bad params: {exc!r}") from exc
 
+
+def _named_reduction(rule, params) -> Reduction:
     if rule == "identity":
         return identity_reduction(problem_from_json(params["problem"]))
 

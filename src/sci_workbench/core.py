@@ -3,7 +3,7 @@
 The model: an input is a finite symbolic description that carries both an
 exact reference oracle (used by the target map and by verification) and a
 query interface.  Algorithm protocols never see the input itself; they are
-pure functions of the answer sequence received so far.  That makes the
+generators that yield queries and receive only the answers.  That makes the
 locality law of general algorithms hold by construction, and
 :func:`check_locality` exists as a regression guard against protocols that
 smuggle input identity some other way.
@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable, Iterator, Sequence
+from typing import Any, Callable, Generator, Iterable, Iterator, Sequence
 
 from .errors import (
     BudgetExceeded,
@@ -40,13 +40,6 @@ class Ask:
     """Protocol step: emit a query id and wait for its value."""
 
     query_id: QueryId
-
-
-@dataclass(frozen=True)
-class Output:
-    """Protocol step: stop and output a point of the output space."""
-
-    value: Any
 
 
 @dataclass(frozen=True)
@@ -199,14 +192,14 @@ class QueryTrace:
 class GeneralAlgorithm:
     """An adaptive protocol that reads its input only through queries.
 
-    ``protocol`` maps the answers received so far (a read-only sequence) to
-    the next :class:`Ask` or the final :class:`Output`.  Because the input is
-    not an argument, two inputs with identical answer sequences are
-    indistinguishable to the protocol.
+    ``protocol`` is a zero-argument generator function: each run yields
+    :class:`Ask` steps, receives each answer through ``send``, and returns
+    the output.  Because the input is never passed in, two inputs with
+    identical answer sequences are indistinguishable to the protocol.
     """
 
     name: str
-    protocol: Callable[[Sequence[Any]], Ask | Output]
+    protocol: Callable[[], Generator[Ask, Any, Any]]
     budget: int = DEFAULT_BUDGET
 
     def __post_init__(self):
@@ -225,10 +218,11 @@ def fixed_query_algorithm(
     if not ids:
         raise ValueError("a general algorithm must ask at least one query")
 
-    def protocol(answers: Sequence[Any]):
-        if len(answers) < len(ids):
-            return Ask(ids[len(answers)])
-        return Output(finish(tuple(answers)))
+    def protocol():
+        answers = []
+        for qid in ids:
+            answers.append((yield Ask(qid)))
+        return finish(tuple(answers))
 
     return GeneralAlgorithm(name, protocol, budget)
 
@@ -241,28 +235,31 @@ def constant_algorithm(name: str, query_id: QueryId, value) -> GeneralAlgorithm:
 def run_algorithm(alg: GeneralAlgorithm, problem: Problem, input) -> tuple[Any, QueryTrace]:
     """Drive ``alg`` against ``problem``'s query oracle on ``input``.
 
-    Returns the protocol's output and the exact ordered trace.  Pure in
-    (protocol, input): repeated runs are bit-identical.
+    Starts a fresh run of the protocol generator, answers each yielded
+    :class:`Ask` from the oracle, and returns the generator's return value
+    with the exact ordered trace.  Pure in (protocol, input): repeated runs
+    are bit-identical.
     """
     if not problem.inputs.admits(input):
         raise ValueError(f"input {input!r} is not admissible for {problem.name}")
-    answers: list = []
+    run = alg.protocol()
     steps: list[tuple[QueryId, Any]] = []
+    value = None
     while True:
-        step = alg.protocol(answers)
-        if isinstance(step, Output):
+        try:
+            step = run.send(value)
+        except StopIteration as done:
             if not steps:
                 raise ProtocolViolation(
                     f"{alg.name} finished without querying; completed runs need a nonempty query set"
-                )
-            return step.value, QueryTrace(tuple(steps))
+                ) from None
+            return done.value, QueryTrace(tuple(steps))
         if not isinstance(step, Ask):
-            raise ProtocolViolation(f"{alg.name} emitted {step!r}, expected Ask or Output")
+            raise ProtocolViolation(f"{alg.name} emitted {step!r}, expected Ask")
         if len(steps) >= alg.budget:
             raise BudgetExceeded(f"{alg.name} exceeded its budget of {alg.budget} queries")
         value = problem.queries.resolve(step.query_id).evaluate(input)
         steps.append((step.query_id, value))
-        answers.append(value)
 
 
 @dataclass(frozen=True)

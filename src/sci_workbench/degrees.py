@@ -23,16 +23,13 @@ from .reductions import (
     PlanEntry,
     QueryPlan,
     Reduction,
+    _take_first,
     structural_feasibility,
 )
 
 TAG_QUERY = ("tag",)
 CONST_QUERY = ("const",)
 POINT = "*"
-
-
-def _take_first(values: tuple):
-    return values[0]
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,7 @@ class UnknownQuery(WorkbenchError):
 
 
 class ProtocolViolation(WorkbenchError):
-    """A protocol finished without querying; completed runs need a nonempty trace."""
+    """A protocol yielded a non-query step, or finished without querying."""
 
 
 class IndexArityMismatch(WorkbenchError):

@@ -300,7 +300,7 @@ def rectangle_tower(iv: Interval) -> Tower:
     return Tower(f"rectangle{iv}", 1, stages)
 
 
-@lru_cache(maxsize=512)
+@lru_cache(maxsize=128)
 def _grid_ids(a: Fraction, b: Fraction, n: int) -> tuple:
     num, den = a.numerator, a.denominator
     step_num, step_den = (b - a).numerator, (b - a).denominator * n

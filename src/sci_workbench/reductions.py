@@ -15,13 +15,12 @@ import enum
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Callable, Sequence
+from typing import Any, Callable
 
 from .core import (
     DEFAULT_BUDGET,
     Ask,
     GeneralAlgorithm,
-    Output,
     Problem,
     QueryId,
     Tower,
@@ -119,6 +118,7 @@ class Reduction:
 
 
 def _take_first(values: tuple):
+    """Combiner of a width-1 plan entry that relays its source answer unchanged."""
     return values[0]
 
 
@@ -297,32 +297,32 @@ def verify_reduction(
 def pullback_algorithm(reduction: Reduction, algorithm: GeneralAlgorithm) -> GeneralAlgorithm:
     """Simulate a target-problem algorithm on the source through the query plan.
 
-    Whenever the target protocol emits a query f, the pulled-back protocol
-    emits the plan's source block for f, feeds the combined answer back, and
-    finally outputs the decoded target output.  The source trace is the
-    concatenation of the blocks, so it stays a pure function of the source
-    answers and locality is preserved.
+    Whenever the target protocol asks a query f, the pulled-back protocol
+    asks the plan's source block for f, sends the combined answer back into
+    the target protocol, and finally returns the decoded target output.
+    Each target query expands its plan entry exactly once.  The source trace
+    is the concatenation of the blocks, so it stays a pure function of the
+    source answers and locality is preserved.
     """
     plan = reduction.plan
     decode = reduction.decoder.map
-    inner = algorithm.protocol
 
-    def protocol(source_answers: Sequence[Any]):
-        position = 0
-        target_answers: list = []
+    def protocol():
+        inner = algorithm.protocol()
+        answer = None
         while True:
-            step = inner(target_answers)
-            if isinstance(step, Output):
-                return Output(decode(step.value))
-            if not isinstance(step, Ask):  # pragma: no cover - inner protocol misbehaving
-                return step
+            try:
+                step = inner.send(answer)
+            except StopIteration as done:
+                return decode(done.value)
+            if not isinstance(step, Ask):
+                answer = yield step  # passed through; run_algorithm rejects it
+                continue
             entry = plan.entry(step.query_id)
-            have = len(source_answers) - position
-            if have < entry.width:
-                return Ask(entry.source_ids[have])
-            block = tuple(source_answers[position : position + entry.width])
-            target_answers.append(entry.combine(block))
-            position += entry.width
+            block = []
+            for source_id in entry.source_ids:
+                block.append((yield Ask(source_id)))
+            answer = entry.combine(tuple(block))
 
     return GeneralAlgorithm(
         name=f"pullback[{algorithm.name}|{reduction.name}]",

@@ -28,7 +28,7 @@ from .core import (
     fixed_query_algorithm,
 )
 from .errors import UncertifiedStabilizer, UnsupportedKind, WindowOutsideDomain
-from .reductions import Decoder, DecoderClass, PlanEntry, QueryPlan, Reduction
+from .reductions import Decoder, DecoderClass, PlanEntry, QueryPlan, Reduction, _take_first
 
 Domain = tuple[Fraction, Fraction]
 
@@ -156,7 +156,7 @@ class HarmonicSequence(DiagonalSpec):
         return f"harmonic:{self.base},{self.coef}"
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)
 def _rational_block(lo: Fraction, hi: Fraction, count: int) -> tuple[Fraction, ...]:
     """First ``count`` terms of the denominator-ordered enumeration of Q ∩ [lo, hi]."""
     out: list[Fraction] = []
@@ -496,10 +496,6 @@ def stabilized_problem(
     )
 
 
-def _identity_combiner(vals: tuple):
-    return vals[0]
-
-
 def stabilization_reductions(
     j_domain: Domain,
     stabilizer: StabilizerSpec,
@@ -528,11 +524,11 @@ def stabilization_reductions(
         if not isinstance(qid, tuple) or not qid:
             return None
         if qid[0] == "rho" and qid in stab.queries:
-            return PlanEntry((qid,), _identity_combiner)
+            return PlanEntry((qid,), _take_first)
         if qid[0] == "nu" and qid in stab.queries:
             i, r, j, s = qid[1], qid[2], qid[3], qid[4]
             if r == 1 and s == 1:
-                return PlanEntry((("mu", i, j),), _identity_combiner)
+                return PlanEntry((("mu", i, j),), _take_first)
             if r == 2 and s == 2:
                 value = b_spec.entry(i) if i == j else Fraction(0)
                 return PlanEntry((("rho", 1),), lambda _vals, _v=value: _v)
@@ -552,10 +548,10 @@ def stabilization_reductions(
         if not isinstance(qid, tuple) or not qid:
             return None
         if qid[0] == "rho" and qid in src.queries:
-            return PlanEntry((qid,), _identity_combiner)
+            return PlanEntry((qid,), _take_first)
         if qid[0] == "mu" and qid in src.queries:
             i, j = qid[1], qid[2]
-            return PlanEntry((("nu", i, 1, j, 1),), _identity_combiner)
+            return PlanEntry((("nu", i, 1, j, 1),), _take_first)
         return None
 
     backward = Reduction(

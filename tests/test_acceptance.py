@@ -102,16 +102,14 @@ def _fixed_probe_protocols():
         )
     )
 
-    def adaptive(answers):
+    def adaptive():
         # branches on its first answer, so the emitted set is input-dependent
-        from sci_workbench.core import Ask, Output
+        from sci_workbench.core import Ask
 
-        if not answers:
-            return Ask(("ev", Fraction(1, 2)))
-        if len(answers) == 1:
-            probe = Fraction(1, 4) if answers[0] == 0 else Fraction(3, 4)
-            return Ask(("ev", probe))
-        return Output(answers[0] + answers[1])
+        first = yield Ask(("ev", Fraction(1, 2)))
+        probe = Fraction(1, 4) if first == 0 else Fraction(3, 4)
+        second = yield Ask(("ev", probe))
+        return first + second
 
     from sci_workbench.core import GeneralAlgorithm
 

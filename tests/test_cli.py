@@ -62,6 +62,12 @@ class TestDispatch:
         capsys.readouterr()
         assert main(["no-such-command"]) == 2
 
+    def test_reduce_verify_missing_param_exits_2(self, capsys):
+        argv = ["reduce", "verify", "--spec", '{"rule":"integration_affine","params":{}}']
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("catalog error:") and "Traceback" not in err
+
     def test_json_reports_are_byte_identical(self, capsys):
         argv = ["--json", "certify", "package", "--family", "integration", "--samples", "20"]
         assert main(argv) == 0

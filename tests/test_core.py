@@ -9,7 +9,6 @@ from sci_workbench import spectral as sp
 from sci_workbench.core import (
     Ask,
     GeneralAlgorithm,
-    Output,
     QueryFamily,
     check_consistency,
     check_locality,
@@ -63,12 +62,20 @@ class TestRunAlgorithm:
             run_algorithm(alg, unit_problem, ig.polynomial(1))
 
     def test_budget_exceeded(self, unit_problem):
-        alg = GeneralAlgorithm("loop", lambda answers: Ask(("ev", Fraction(0))), budget=16)
+        def loop():
+            while True:
+                yield Ask(("ev", Fraction(0)))
+
+        alg = GeneralAlgorithm("loop", loop, budget=16)
         with pytest.raises(BudgetExceeded):
             run_algorithm(alg, unit_problem, ig.polynomial(1))
 
     def test_empty_trace_rejected(self, unit_problem):
-        alg = GeneralAlgorithm("mute", lambda answers: Output(0))
+        def mute():
+            yield from ()
+            return 0
+
+        alg = GeneralAlgorithm("mute", mute)
         with pytest.raises(ProtocolViolation):
             run_algorithm(alg, unit_problem, ig.polynomial(1))
 

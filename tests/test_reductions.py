@@ -1,11 +1,18 @@
+import dataclasses
 from fractions import Fraction
 
 import pytest
 
 from sci_workbench import integration as ig
 from sci_workbench import spectral as sp
-from sci_workbench.core import check_locality, evaluate_tower, run_algorithm
-from sci_workbench.errors import PlanGap, ProblemMismatch, TagIncompatible
+from sci_workbench.core import (
+    Ask,
+    GeneralAlgorithm,
+    check_locality,
+    evaluate_tower,
+    run_algorithm,
+)
+from sci_workbench.errors import PlanGap, ProblemMismatch, ProtocolViolation, TagIncompatible
 from sci_workbench.reductions import (
     Decoder,
     DecoderClass,
@@ -211,6 +218,60 @@ class TestPullback:
         outside = constant_algorithm("bad", ("ev", Fraction(9)), 0)  # 9 not in [0, 2]
         with pytest.raises(PlanGap):
             run_algorithm(pullback_algorithm(reduction, outside), chain[0], ig.polynomial(1))
+
+    def test_plan_rule_runs_once_per_target_query(self, chain):
+        reduction = ig.affine_reduction(chain[1], chain[0])
+        asked = []
+
+        def counting_rule(qid):
+            asked.append(qid)
+            return reduction.plan.rule(qid)
+
+        counted = dataclasses.replace(reduction, plan=QueryPlan("counted", counting_rule))
+        stage = ig.rectangle_tower(ig.interval(0, 2)).stage((256,))
+        _, trace = run_algorithm(pullback_algorithm(counted, stage), chain[0], ig.polynomial(1))
+        assert len(trace) == 256
+        assert asked == [("ev", x) for x in ig.grid_nodes(ig.interval(0, 2), 256)]
+
+    def test_adaptive_protocol_matches_hand_simulation(self, chain):
+        reduction = ig.affine_reduction(chain[1], chain[0])
+
+        def adaptive():
+            first = yield Ask(("ev", Fraction(1)))
+            probe = Fraction(1, 2) if first == 0 else Fraction(3, 2)
+            second = yield Ask(("ev", probe))
+            return first + second
+
+        alg = GeneralAlgorithm("adaptive", adaptive)
+        pulled = pullback_algorithm(reduction, alg)
+        branches = set()
+        for f in (ig.polynomial(0), ig.polynomial(1), ig.polynomial(0, 1)):
+            value, trace = run_algorithm(pulled, chain[0], f)
+            target_value, target_trace = run_algorithm(alg, chain[1], reduction.encoder(f))
+            steps = []
+            for qid, answer in target_trace.steps:
+                entry = reduction.plan.entry(qid)
+                block = tuple(chain[0].queries.resolve(sid).evaluate(f) for sid in entry.source_ids)
+                assert entry.combine(block) == answer
+                steps.extend(zip(entry.source_ids, block))
+            assert trace.steps == tuple(steps)
+            assert value == reduction.decoder.map(target_value)
+            branches.add(trace.ids)
+        assert len(branches) == 2
+
+    def test_non_ask_step_is_a_violation(self, chain):
+        reduction = ig.affine_reduction(chain[1], chain[0])
+
+        def rogue():
+            yield Ask(("ev", Fraction(1)))
+            yield "not a query"
+            return 0
+
+        alg = GeneralAlgorithm("rogue", rogue)
+        with pytest.raises(ProtocolViolation):
+            run_algorithm(alg, chain[1], ig.polynomial(1))
+        with pytest.raises(ProtocolViolation):
+            run_algorithm(pullback_algorithm(reduction, alg), chain[0], ig.polynomial(1))
 
     def test_spectral_backward_pullback_decides_stabilized(self, spectral_source):
         domain = spectral_source.params["domain"]
