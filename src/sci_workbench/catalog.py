@@ -31,8 +31,14 @@ def parse_fraction(value) -> Fraction:
         raise CatalogError(f"cannot parse rational from {value!r}") from exc
 
 
+def _object(value, what: str) -> dict:
+    if not isinstance(value, dict):
+        raise CatalogError(f"{what} must be a JSON object, got {type(value).__name__}")
+    return value
+
+
 def function_from_json(data: dict) -> integration.FunctionDescription:
-    kind = data.get("kind")
+    kind = _object(data, "a function description").get("kind")
     if kind == "poly":
         return integration.Polynomial(tuple(parse_fraction(c) for c in data["coeffs"]))
     if kind == "sine":
@@ -43,7 +49,7 @@ def function_from_json(data: dict) -> integration.FunctionDescription:
 
 
 def diagonal_from_json(data: dict) -> spectral.DiagonalSpec:
-    kind = data.get("kind")
+    kind = _object(data, "a diagonal description").get("kind")
     if kind == "const":
         return spectral.constant_diagonal(parse_fraction(data["value"]))
     if kind == "finite_list":
@@ -61,10 +67,17 @@ def diagonal_from_json(data: dict) -> spectral.DiagonalSpec:
 def _spectral_pairs(params: dict, j_domain: spectral.Domain) -> tuple[spectral.Pair, ...]:
     pairs = []
     for raw in params["pairs"]:
-        spec = diagonal_from_json(raw["diagonal"])
+        spec = diagonal_from_json(_object(raw, "a spectral pair")["diagonal"])
         window = spectral.Window(parse_fraction(raw["z"]), j_domain)
         pairs.append((spec, window))
     return tuple(pairs)
+
+
+def _stabilization_params(params: dict) -> tuple[spectral.Domain, spectral.StabilizerSpec, tuple]:
+    """Domain, certified stabilizer and pairs of a stabilized problem or reduction."""
+    j_domain = spectral.domain(*(parse_fraction(v) for v in params["domain"]))
+    stabilizer = spectral.StabilizerSpec.certify(diagonal_from_json(params["stabilizer"]), j_domain)
+    return j_domain, stabilizer, _spectral_pairs(params, j_domain)
 
 
 def _koopman_target(raw) -> koopman.TargetSpec:
@@ -79,6 +92,7 @@ def _koopman_target(raw) -> koopman.TargetSpec:
 
 def problem_from_json(entry: dict) -> Problem:
     """Build the typed problem for one catalog entry."""
+    entry = _object(entry, "a catalog entry")
     kind = entry.get("problem")
     params = entry.get("params")
     if not isinstance(params, dict):
@@ -97,13 +111,7 @@ def problem_from_json(entry: dict) -> Problem:
         return spectral.source_problem(j_domain, _spectral_pairs(params, j_domain))
 
     if kind == "spectral_stabilized":
-        j_domain = spectral.domain(*(parse_fraction(v) for v in params["domain"]))
-        stabilizer = spectral.StabilizerSpec.certify(
-            diagonal_from_json(params["stabilizer"]), j_domain
-        )
-        return spectral.stabilized_problem(
-            j_domain, stabilizer, _spectral_pairs(params, j_domain)
-        )
+        return spectral.stabilized_problem(*_stabilization_params(params))
 
     if kind == "koopman":
         space = koopman.FiniteSpace(tuple(parse_fraction(w) for w in params["weights"]))
@@ -175,9 +183,7 @@ def reduction_from_json(spec: dict) -> Reduction:
     "spectral_forward" / "spectral_backward" (two sides of block-diagonal
     stabilization).  A malformed spec raises :class:`CatalogError`.
     """
-    if not isinstance(spec, dict):
-        raise CatalogError(f"a reduction spec must be a JSON object, got {type(spec).__name__}")
-    rule = spec.get("rule")
+    rule = _object(spec, "a reduction spec").get("rule")
     try:
         return _named_reduction(rule, spec.get("params", {}))
     except (KeyError, TypeError, ValueError) as exc:
@@ -198,12 +204,7 @@ def _named_reduction(rule, params) -> Reduction:
         return integration.affine_reduction(target_problem, source_problem)
 
     if rule in ("spectral_forward", "spectral_backward"):
-        j_domain = spectral.domain(*(parse_fraction(v) for v in params["domain"]))
-        stabilizer = spectral.StabilizerSpec.certify(
-            diagonal_from_json(params["stabilizer"]), j_domain
-        )
-        pairs = _spectral_pairs(params, j_domain)
-        forward, backward = spectral.stabilization_reductions(j_domain, stabilizer, pairs)
+        forward, backward = spectral.stabilization_reductions(*_stabilization_params(params))
         return forward if rule == "spectral_forward" else backward
 
     raise CatalogError(f"unknown reduction rule {rule!r}; only shipped named rules are accepted")

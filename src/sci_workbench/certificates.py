@@ -167,6 +167,15 @@ def _require_verified(item: VerifiedReduction, source_id: str) -> Reduction:
     return reduction
 
 
+def _transferred_lower_bound(reduction: Reduction, source_id: str, k: int) -> HeightCertificate:
+    """Certificate lb >= k for the target of a verified reduction from a height-k source."""
+    return HeightCertificate(
+        reduction.target.name,
+        HeightInterval(k, UNBOUNDED),
+        (TransferredLB(reduction.name, source_id, k),),
+    )
+
+
 def transfer_lower_bound(
     source_cert: HeightCertificate,
     reductions: Sequence[VerifiedReduction],
@@ -183,13 +192,7 @@ def transfer_lower_bound(
     certificates = []
     for item in reductions:
         reduction = _require_verified(item, source_cert.problem_id)
-        certificates.append(
-            HeightCertificate(
-                reduction.target.name,
-                HeightInterval(k, UNBOUNDED),
-                (TransferredLB(reduction.name, source_cert.problem_id, k),),
-            )
-        )
+        certificates.append(_transferred_lower_bound(reduction, source_cert.problem_id, k))
     return certificates
 
 
@@ -201,44 +204,13 @@ def sufficiency_package(
     """The principal-source package: source exact at k, one verified reduction
     per member, member upper bounds at k; concludes pointwise exactness at k.
 
-    Raises :class:`MissingClause` naming the first failing clause: C1 when
-    the source is not exactly k, C2 when some member lacks a verified
-    reduction from the source, C3 when some member's upper bound exceeds k.
+    This is :func:`transport_saturation` with the singleton basis
+    ``{source}`` and every member assigned to it, so it raises
+    :class:`MissingClause` in the same clause order.
     """
-    if not source_cert.interval.exact:
-        raise MissingClause("C1", f"source height is not exact: {source_cert.interval}")
-    k = source_cert.interval.lb
-
-    members = dict(upper_bounds)
-    if not members:
-        raise ValueError("the family is nonempty; supply at least one member upper bound")
-
-    for member_id in members:
-        if member_id not in reductions:
-            raise MissingClause("C2", f"no reduction from {source_cert.problem_id} to {member_id}")
-        try:
-            reduction = _require_verified(reductions[member_id], source_cert.problem_id)
-        except UnverifiedReduction as exc:
-            raise MissingClause("C2", str(exc)) from exc
-        if reduction.target.name != member_id:
-            raise MissingClause(
-                "C2", f"reduction for {member_id} actually targets {reduction.target.name}"
-            )
-
-    for member_id, cert in members.items():
-        if cert.interval.ub > k:
-            raise MissingClause("C3", f"{member_id} has upper bound {cert.interval.ub} > {k}")
-
-    certified = {}
-    for member_id, cert in members.items():
-        lower = HeightCertificate(
-            member_id,
-            HeightInterval(k, UNBOUNDED),
-            (TransferredLB(reductions[member_id][0].name, source_cert.problem_id, k),),
-        )
-        certified[member_id] = merge_certificates(lower, cert)
-    record = FamilyRecord(certified)
-    return record, classify_family(record, k)
+    source_id = source_cert.problem_id
+    assignment = {member_id: source_id for member_id in upper_bounds}
+    return transport_saturation({source_id: source_cert}, assignment, reductions, upper_bounds)
 
 
 def transport_saturation(
@@ -250,7 +222,11 @@ def transport_saturation(
     """Pointwise exactness from an exact level-k transport basis.
 
     Every member is assigned some basis element that reduces into it; with a
-    singleton basis this is exactly :func:`sufficiency_package`.
+    singleton basis this is :func:`sufficiency_package`.  Raises
+    :class:`MissingClause` naming the first failing clause, checked in this
+    order: C1 when the basis is empty or not exact at one level k, then C2
+    for every member (no assigned basis element, or no verified reduction
+    from it into the member), then C3 for every member (upper bound above k).
     """
     if not basis:
         raise MissingClause("C1", "the transport basis is empty")
@@ -267,8 +243,8 @@ def transport_saturation(
     if not members:
         raise ValueError("the family is nonempty; supply at least one member upper bound")
 
-    certified = {}
-    for member_id, cert in members.items():
+    verified = {}
+    for member_id in members:
         if member_id not in assignment:
             raise MissingClause("C2", f"{member_id} has no assigned basis element")
         basis_id = assignment[member_id]
@@ -284,15 +260,16 @@ def transport_saturation(
             raise MissingClause(
                 "C2", f"reduction for {member_id} actually targets {reduction.target.name}"
             )
+        verified[member_id] = reduction
+
+    for member_id, cert in members.items():
         if cert.interval.ub > k:
             raise MissingClause("C3", f"{member_id} has upper bound {cert.interval.ub} > {k}")
-        lower = HeightCertificate(
-            member_id,
-            HeightInterval(k, UNBOUNDED),
-            (TransferredLB(reduction.name, basis_id, k),),
-        )
-        certified[member_id] = merge_certificates(lower, cert)
 
+    certified = {}
+    for member_id, cert in members.items():
+        lower = _transferred_lower_bound(verified[member_id], assignment[member_id], k)
+        certified[member_id] = merge_certificates(lower, cert)
     record = FamilyRecord(certified)
     return record, classify_family(record, k)
 

@@ -23,7 +23,7 @@ from . import degrees as dg
 from . import integration as ig
 from . import koopman as kp
 from . import spectral as sp
-from .catalog import load_catalog, reduction_from_json
+from .catalog import diagonal_from_json, function_from_json, load_catalog, reduction_from_json
 from .core import evaluate_tower, run_algorithm
 from .errors import CatalogError, UsageError, WorkbenchError
 from .reductions import compose, pullback_tower, verify_reduction
@@ -86,42 +86,50 @@ def _fraction(text: str) -> Fraction:
         raise UsageError(f"expected a rational like 3/4, got {text!r}") from None
 
 
+#: The mini grammar spells the catalog kinds: CLI spelling -> (JSON kind, field names).
+#: Fields are comma-separated; ``list`` puts "|" between its listed values and the tail.
+_FUNCTION_SPELLINGS = {
+    "poly": ("poly", ("coeffs",)),
+    "sine": ("sine", ("amplitude", "frequency")),
+    "bump": ("bump", ("u", "v")),
+}
+_DIAGONAL_SPELLINGS = {
+    "const": ("const", ("value",)),
+    "list": ("finite_list", ("values", "tail")),
+    "harmonic": ("harmonic", ("base", "coef")),
+    "enum": ("enum", ("lo", "hi")),
+}
+
+
+def _parse_spelled(text: str, what: str, spellings: dict, from_json):
+    """Lower one mini-grammar spec to its catalog JSON object and build it there."""
+    spelling, _, body = text.partition(":")
+    if spelling not in spellings:
+        raise UsageError(f"unknown {what} kind {spelling!r} ({'|'.join(spellings)})")
+    kind, fields = spellings[spelling]
+    if spelling == "poly":
+        values = [body.split(",")]
+    elif spelling == "list":
+        listed, _, tail = body.partition("|")
+        values = [listed.split(",") if listed else [], tail]
+    else:
+        values = body.split(",")
+    if len(values) != len(fields):
+        raise UsageError(f"bad {what} spec {text!r}: expected {','.join(fields)}")
+    try:
+        return from_json({"kind": kind, **dict(zip(fields, values))})
+    except (ValueError, CatalogError) as exc:
+        raise UsageError(f"bad {what} spec {text!r}: {exc}") from None
+
+
 def parse_function_spec(text: str) -> ig.FunctionDescription:
     """Mini grammar: poly:c0,c1,...  sine:amp,freq  bump:u,v"""
-    kind, _, body = text.partition(":")
-    try:
-        if kind == "poly":
-            return ig.Polynomial(tuple(_fraction(c) for c in body.split(",")))
-        if kind == "sine":
-            amp, freq = body.split(",")
-            return ig.Sine(float(amp), float(freq))
-        if kind == "bump":
-            u, v = body.split(",")
-            return ig.Bump(_fraction(u), _fraction(v))
-    except (ValueError, UsageError) as exc:
-        raise UsageError(f"bad function spec {text!r}: {exc}") from None
-    raise UsageError(f"unknown function kind {kind!r} (poly|sine|bump)")
+    return _parse_spelled(text, "function", _FUNCTION_SPELLINGS, function_from_json)
 
 
 def parse_diagonal_spec(text: str) -> sp.DiagonalSpec:
     """Mini grammar: const:c  list:v1,v2|tail  harmonic:base,coef  enum:lo,hi"""
-    kind, _, body = text.partition(":")
-    try:
-        if kind == "const":
-            return sp.constant_diagonal(_fraction(body))
-        if kind == "list":
-            listed, _, tail = body.partition("|")
-            values = tuple(_fraction(v) for v in listed.split(",")) if listed else ()
-            return sp.FiniteThenConstant(values, _fraction(tail))
-        if kind == "harmonic":
-            base, coef = body.split(",")
-            return sp.HarmonicSequence(_fraction(base), _fraction(coef))
-        if kind == "enum":
-            lo, hi = body.split(",")
-            return sp.RationalEnumeration(_fraction(lo), _fraction(hi))
-    except (ValueError, UsageError) as exc:
-        raise UsageError(f"bad diagonal spec {text!r}: {exc}") from None
-    raise UsageError(f"unknown diagonal kind {kind!r} (const|list|harmonic|enum)")
+    return _parse_spelled(text, "diagonal", _DIAGONAL_SPELLINGS, diagonal_from_json)
 
 
 def _points_list(text: str) -> list[Fraction]:

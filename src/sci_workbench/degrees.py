@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .core import InputCatalog, OutputSpace, Problem, QueryFamily
-from .errors import EmptyInputClass, EmptyQueryFamily
+from .errors import EmptyInputClass, EmptyQueryFamily, TagIncompatible
 from .reductions import (
     Decoder,
     DecoderClass,
@@ -24,6 +24,7 @@ from .reductions import (
     QueryPlan,
     Reduction,
     _take_first,
+    decoder_compose_class,
     structural_feasibility,
 )
 
@@ -308,11 +309,6 @@ def counterexample_demo(class_tag: DecoderClass | str) -> CounterexampleReport:
                 query.evaluate("a") != query.evaluate("b"),
                 "e(a) != e(b)",
             ),
-            CheckResult(
-                "constant value cannot decode to both outputs",
-                len(targets) > 1,
-                "one decoded constant vs two required target values",
-            ),
         )
         prose = (
             "Any common upper bound would have to simulate its queries from the "
@@ -326,6 +322,11 @@ def counterexample_demo(class_tag: DecoderClass | str) -> CounterexampleReport:
 
     q0, q1 = identity_class_pair()
     carrier0, carrier1 = q0.output_space.carrier, q1.output_space.carrier
+    try:
+        decoder_compose_class(DecoderClass.ID, DecoderClass.ID, same_space=False)
+        pinned = False
+    except TagIncompatible:
+        pinned = True
     checks = (
         CheckResult(
             "output carriers clash",
@@ -334,14 +335,14 @@ def counterexample_demo(class_tag: DecoderClass | str) -> CounterexampleReport:
         ),
         CheckResult(
             "identity decoders pin the space",
-            True,
-            "an identity-class decoder exists only onto its own space, so a common "
-            "upper bound's output space would have to equal both carriers",
+            pinned,
+            "decoder_compose_class(id, id) raises TagIncompatible across two output spaces",
         ),
     )
     prose = (
         "With identity-only decoders, each transport forces the upper bound's "
         "output space to equal the component's; the two carriers differ, so no "
-        "common upper bound exists. Only the carrier clash is machine-checked."
+        "common upper bound exists. The carrier clash and the refusal of identity "
+        "decoders to compose across two spaces are machine-checked."
     )
     return CounterexampleReport(tag.value, checks, prose)

@@ -245,8 +245,9 @@ def verify_reduction(
     """Sample catalog inputs and plan-covered queries against the two defining equations.
 
     Rational-valued data is compared exactly; anything involving floating
-    point is compared within ``tol``.  Failures are report content, never
-    exceptions.
+    point is compared within ``tol``.  An encoded input the target does not
+    admit counts as a target failure and ends that sample.  Failures are
+    report content, never exceptions.
     """
     if sample_count < 1:
         raise ValueError("sample_count must be >= 1")
@@ -260,6 +261,9 @@ def verify_reduction(
     for _ in range(sample_count):
         a = source.inputs.sample(rng)
         encoded = reduction.encoder(a)
+        if not target.inputs.admits(encoded):
+            target_failures += 1
+            continue
 
         want = source.target(a)
         got = reduction.decoder.map(target.target(encoded))

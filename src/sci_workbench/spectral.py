@@ -247,8 +247,30 @@ _BIT_SPACE = OutputSpace("bit", lambda p, q: 0 if p == q else 1, carrier=(0, 1))
 Pair = tuple[DiagonalSpec, Window]
 
 
-def _pair_queries(name: str, matrix_entry: Callable, **kwargs) -> QueryFamily:
-    """Queries shared by source and stabilized problems: entries plus dyadic window data."""
+def _window_problem(
+    name: str,
+    queries_name: str,
+    j_domain: Domain,
+    members: tuple,
+    *,
+    is_operator: Callable[[object], bool],
+    matrix_entry: Callable,
+    diagonal_id: Callable[[int], tuple],
+    sample_entry: Callable,
+    canonical_ids: tuple,
+    target: Callable,
+    params: dict,
+) -> Problem:
+    """Scaffold of the source and stabilized problems: (operator, window) inputs
+    over ``j_domain``, matrix-entry queries plus window data rho_n, bit outputs.
+    A sampled query is rho_n for draw 0 of ``rng.randrange(4)``, else
+    ``sample_entry(rng, draw)``; separators are ``diagonal_id(1..64)``, then rho_1..40.
+    """
+    for _, window in members:
+        if window.domain != j_domain:
+            raise WindowOutsideDomain(
+                f"window domain {window.domain} differs from problem domain {j_domain}"
+            )
 
     def resolver(qid):
         if not isinstance(qid, tuple) or not qid:
@@ -258,7 +280,37 @@ def _pair_queries(name: str, matrix_entry: Callable, **kwargs) -> QueryFamily:
             return lambda pair: window_approximant(pair[1], n).value
         return matrix_entry(qid)
 
-    return QueryFamily(name, resolver, **kwargs)
+    def admits(candidate) -> bool:
+        return (
+            isinstance(candidate, tuple)
+            and len(candidate) == 2
+            and is_operator(candidate[0])
+            and isinstance(candidate[1], Window)
+            and candidate[1].domain == j_domain
+        )
+
+    def sampler(rng):
+        kind = rng.randrange(4)
+        if kind == 0:
+            return ("rho", rng.randrange(1, 13))
+        return sample_entry(rng, kind)
+
+    def separators(a, b):
+        for j in range(1, 65):
+            yield diagonal_id(j)
+        for n in range(1, 41):
+            yield ("rho", n)
+
+    return Problem(
+        name=name,
+        inputs=InputCatalog(members, admits=admits),
+        output_space=_BIT_SPACE,
+        target=target,
+        queries=QueryFamily(
+            queries_name, resolver, canonical_ids=canonical_ids, sampler=sampler, separators=separators
+        ),
+        params=params,
+    )
 
 
 def source_problem(j_domain: Domain, pairs: Sequence[Pair], name: str | None = None) -> Problem:
@@ -268,12 +320,6 @@ def source_problem(j_domain: Domain, pairs: Sequence[Pair], name: str | None = N
     otherwise) and window approximants rho_n.  Target: 1 iff the spectrum
     misses {z}.
     """
-    members = tuple(pairs)
-    for spec, window in members:
-        if window.domain != j_domain:
-            raise WindowOutsideDomain(
-                f"window domain {window.domain} differs from problem domain {j_domain}"
-            )
 
     def matrix_entry(qid):
         if (
@@ -287,45 +333,24 @@ def source_problem(j_domain: Domain, pairs: Sequence[Pair], name: str | None = N
             return lambda pair: Fraction(0)
         return None
 
-    def admits(candidate) -> bool:
-        return (
-            isinstance(candidate, tuple)
-            and len(candidate) == 2
-            and isinstance(candidate[0], DiagonalSpec)
-            and isinstance(candidate[1], Window)
-            and candidate[1].domain == j_domain
-        )
-
-    def sampler(rng):
-        kind = rng.randrange(4)
-        if kind == 0:
-            return ("rho", rng.randrange(1, 13))
+    def sample_entry(rng, kind):
         if kind == 1:
             return ("mu", rng.randrange(1, 9), rng.randrange(1, 9))
         j = rng.randrange(1, 9)
         return ("mu", j, j)
 
-    def separators(a, b):
-        for j in range(1, 65):
-            yield ("mu", j, j)
-        for n in range(1, 41):
-            yield ("rho", n)
-
-    family = _pair_queries(
+    return _window_problem(
+        name or f"spectral-window[{j_domain[0]},{j_domain[1]}]",
         f"spectral-queries[{j_domain}]",
-        matrix_entry,
+        j_domain,
+        tuple(pairs),
+        is_operator=lambda op: isinstance(op, DiagonalSpec),
+        matrix_entry=matrix_entry,
+        diagonal_id=lambda j: ("mu", j, j),
+        sample_entry=sample_entry,
         canonical_ids=(("mu", 1, 1), ("mu", 2, 2), ("mu", 3, 3), ("mu", 1, 2),
                        ("rho", 1), ("rho", 2), ("rho", 3)),
-        sampler=sampler,
-        separators=separators,
-    )
-
-    return Problem(
-        name=name or f"spectral-window[{j_domain[0]},{j_domain[1]}]",
-        inputs=InputCatalog(members, admits=admits),
-        output_space=_BIT_SPACE,
         target=lambda pair: exact_decision_oracle(*pair),
-        queries=family,
         params={"domain": j_domain},
     )
 
@@ -429,7 +454,6 @@ def stabilized_problem(
     through the spectral union of the two blocks, so it agrees with the
     plain source decision on corresponding inputs.
     """
-    members = tuple((BlockOperator(spec, stabilizer), window) for spec, window in pairs)
 
     def matrix_entry(qid):
         if (
@@ -445,53 +469,31 @@ def stabilized_problem(
             return lambda pair: pair[0].entry(i, r, j, s)
         return None
 
-    def admits(candidate) -> bool:
-        return (
-            isinstance(candidate, tuple)
-            and len(candidate) == 2
-            and isinstance(candidate[0], BlockOperator)
-            and candidate[0].second == stabilizer
-            and isinstance(candidate[1], Window)
-            and candidate[1].domain == j_domain
-        )
-
     def target(pair) -> int:
         block, window = pair
         away_a = block.first.spectrum_distance(window.z) > 0
         away_b = block.second.spec.spectrum_distance(window.z) > 0
         return 1 if away_a and away_b else 0
 
-    def sampler(rng):
-        kind = rng.randrange(4)
-        if kind == 0:
-            return ("rho", rng.randrange(1, 13))
+    def sample_entry(rng, kind):
         i, j = rng.randrange(1, 7), rng.randrange(1, 7)
         r, s = rng.choice(((1, 1), (2, 2), (1, 2), (2, 1)))
         if kind == 1:
             return ("nu", i, r, i, s)
         return ("nu", i, r, j, s)
 
-    def separators(a, b):
-        for j in range(1, 65):
-            yield ("nu", j, 1, j, 1)
-        for n in range(1, 41):
-            yield ("rho", n)
-
-    family = _pair_queries(
+    return _window_problem(
+        name or f"stabilized[{j_domain[0]},{j_domain[1]}|{stabilizer.spec.label()}]",
         f"stabilized-queries[{j_domain}]",
-        matrix_entry,
+        j_domain,
+        tuple((BlockOperator(spec, stabilizer), window) for spec, window in pairs),
+        is_operator=lambda op: isinstance(op, BlockOperator) and op.second == stabilizer,
+        matrix_entry=matrix_entry,
+        diagonal_id=lambda j: ("nu", j, 1, j, 1),
+        sample_entry=sample_entry,
         canonical_ids=(("nu", 1, 1, 1, 1), ("nu", 2, 1, 2, 1), ("nu", 1, 2, 1, 2),
                        ("nu", 1, 1, 1, 2), ("rho", 1), ("rho", 2)),
-        sampler=sampler,
-        separators=separators,
-    )
-
-    return Problem(
-        name=name or f"stabilized[{j_domain[0]},{j_domain[1]}|{stabilizer.spec.label()}]",
-        inputs=InputCatalog(members, admits=admits),
-        output_space=_BIT_SPACE,
         target=target,
-        queries=family,
         params={"domain": j_domain, "stabilizer": stabilizer},
     )
 

@@ -185,6 +185,20 @@ class TestTransportSaturation:
             ct.transport_saturation(basis, {}, reductions, upper_bounds)
         assert exc.value.clause == "C2"
 
+    def test_c2_is_checked_for_every_member_before_c3(self, integration_pipeline):
+        source_cert, reductions, upper_bounds = integration_pipeline
+        weak_id, missing_id = upper_bounds
+        weak = dict(upper_bounds)  # the weak member is listed first
+        weak[weak_id] = ct.HeightCertificate(weak_id, ct.HeightInterval(0, 2), ())
+        partial = {m: r for m, r in reductions.items() if m != missing_id}
+        basis = {source_cert.problem_id: source_cert}
+        assignment = {member: source_cert.problem_id for member in weak}
+        with pytest.raises(MissingClause) as package:
+            ct.sufficiency_package(source_cert, partial, weak)
+        with pytest.raises(MissingClause) as saturation:
+            ct.transport_saturation(basis, assignment, partial, weak)
+        assert package.value.clause == saturation.value.clause == "C2"
+
 
 class TestPrincipalAmbient:
     @pytest.fixture

@@ -1,13 +1,28 @@
 import json
+import re
+import shlex
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from sci_workbench import integration as ig
+from sci_workbench import spectral as sp
 from sci_workbench.catalog import (
     default_catalog_path,
+    diagonal_from_json,
+    function_from_json,
     load_catalog,
     reduction_from_json,
 )
-from sci_workbench.cli import dispatch, main, to_jsonable
+from sci_workbench.cli import (
+    dispatch,
+    main,
+    parse_diagonal_spec,
+    parse_function_spec,
+    to_jsonable,
+)
 from sci_workbench.errors import CatalogError, UsageError
 from sci_workbench.reductions import verify_reduction
 
@@ -83,6 +98,86 @@ class TestDispatch:
         monkeypatch.setenv("SCI_WORKBENCH_SEED", "42")
         report = dispatch(["integrate", "reduce", "--interval", "0", "2", "--samples", "10"])
         assert report.seed == 42
+
+
+NON_OBJECT_SPECS = {
+    "identity-problem-is-a-number": ["reduce", "verify", "--spec",
+                                     '{"rule":"identity","params":{"problem":5}}'],
+    "stabilizer-is-a-number": ["reduce", "verify", "--spec",
+                               '{"rule":"spectral_forward","params":{"domain":["0","1"],'
+                               '"stabilizer":5,"pairs":[]}}'],
+    "function-is-a-number": ["reduce", "verify", "--spec",
+                             '{"rule":"identity","params":{"problem":{"problem":"integration",'
+                             '"params":{"interval":["0","1"],"functions":[7]}}}}'],
+    "catalog-entry-is-a-number": ["--catalog", "{catalog}", "spectral", "reduce"],
+}
+
+
+@pytest.mark.parametrize("argv", NON_OBJECT_SPECS.values(), ids=NON_OBJECT_SPECS.keys())
+def test_non_object_spec_values_exit_2(argv, tmp_path, capsys):
+    catalog = tmp_path / "catalog.json"
+    catalog.write_text('{"schema": "sci-workbench/catalog@1", "entries": [5]}')
+    assert main([arg.replace("{catalog}", str(catalog)) for arg in argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("catalog error:") and "Traceback" not in err
+
+
+ROOT = Path(__file__).resolve().parents[1]
+README_CLI = (ROOT / "README.md").read_text().split("## CLI", 1)[1].split("\n## ", 1)[0]
+README_COMMANDS = [
+    shlex.split(line)[1:]
+    for line in README_CLI.split("```sh", 1)[1].split("```", 1)[0].strip().splitlines()
+]
+
+
+@pytest.mark.parametrize("argv", README_COMMANDS, ids=[" ".join(c[:2]) for c in README_COMMANDS])
+def test_readme_cli_examples_pass(argv, capsys):
+    assert main(argv) == 0
+
+
+FUNCTION_KINDS = ("poly", "sine", "bump")
+
+
+def test_readme_spellings_match_catalog_json():
+    examples = re.findall(r"`([^`]+)`", README_CLI.split("Examples:", 1)[1].split("\n\n", 1)[0])
+    documented = {}
+    for line in (ROOT / "docs" / "catalog-schema.md").read_text().splitlines():
+        cells = [c.strip().replace("\\|", "|") for c in re.split(r"(?<!\\)\|", line)[1:-1]]
+        if len(cells) == 4 and cells[3].startswith("`{"):
+            documented[cells[2].strip("`")] = json.loads(cells[3].strip("`"))
+    assert sorted(examples) == sorted(documented)
+    assert {data["kind"] for data in documented.values()} == {
+        *FUNCTION_KINDS, "const", "finite_list", "harmonic", "enum"
+    }
+    for spelling, data in documented.items():
+        if data["kind"] in FUNCTION_KINDS:
+            assert parse_function_spec(spelling) == function_from_json(data)
+        else:
+            assert parse_diagonal_spec(spelling) == diagonal_from_json(data)
+
+
+FRACTIONS = st.fractions(max_denominator=10**6)
+FLOATS = st.floats(allow_nan=False, allow_infinity=False)
+ORDERED = st.tuples(FRACTIONS, FRACTIONS).filter(lambda p: p[0] != p[1]).map(sorted)
+FUNCTIONS = st.one_of(
+    st.lists(FRACTIONS, min_size=1, max_size=5).map(lambda cs: ig.Polynomial(tuple(cs))),
+    st.builds(ig.Sine, FLOATS, FLOATS),
+    ORDERED.map(lambda p: ig.Bump(*p)),
+)
+DIAGONALS = st.one_of(
+    FRACTIONS.map(sp.constant_diagonal),
+    st.builds(lambda vs, t: sp.FiniteThenConstant(tuple(vs), t),
+              st.lists(FRACTIONS, max_size=5), FRACTIONS),
+    st.builds(sp.HarmonicSequence, FRACTIONS, FRACTIONS.filter(bool)),
+    ORDERED.map(lambda p: sp.RationalEnumeration(*p)),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(FUNCTIONS, DIAGONALS)
+def test_spec_labels_round_trip(function, diagonal):
+    assert parse_function_spec(function.label()) == function
+    assert parse_diagonal_spec(diagonal.label()) == diagonal
 
 
 def eval_fraction(text):

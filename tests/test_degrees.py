@@ -119,6 +119,12 @@ class TestCounterexamples:
         assert clash.name == "output carriers clash"
         assert "(0,)" in clash.detail and "(1,)" in clash.detail
 
+    def test_identity_route_checks_decoder_composition(self, monkeypatch):
+        check = dg.counterexample_demo("id").checks[1]
+        assert check.name == "identity decoders pin the space" and check.passed
+        monkeypatch.setattr(dg, "decoder_compose_class", lambda a, b, same_space=True: a)
+        assert not dg.counterexample_demo("id").checks[1].passed
+
     def test_deterministic(self):
         assert dg.counterexample_demo("cont") == dg.counterexample_demo("cont")
         assert dg.counterexample_demo("id") == dg.counterexample_demo("id")

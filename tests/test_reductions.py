@@ -122,6 +122,22 @@ class TestCompose:
 
 
 class TestVerify:
+    def test_inadmissible_encoding_is_a_target_failure(self, spectral_source):
+        domain = spectral_source.params["domain"]
+        stabilizer = sp.StabilizerSpec.certify(sp.constant_diagonal(5), domain)
+        forward, _ = sp.stabilization_reductions(
+            domain, stabilizer, spectral_source.inputs.members, source=spectral_source
+        )
+        assert verify_reduction(forward, 20).passed
+        # same entries, but a stabilizer certified against [0, 2]: not a target input
+        elsewhere = sp.StabilizerSpec.certify(sp.constant_diagonal(5), sp.domain(0, 2))
+        moved = dataclasses.replace(
+            forward, encoder=lambda pair: (sp.BlockOperator(pair[0], elsewhere), pair[1])
+        )
+        report = verify_reduction(moved, 20)
+        assert not report.passed
+        assert report.target_failures == 20 and report.query_failures == 0
+
     def test_affine_reductions_pass(self, chain):
         for target in chain[1:]:
             report = verify_reduction(ig.affine_reduction(target, chain[0]), 100)
