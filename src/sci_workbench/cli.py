@@ -108,7 +108,7 @@ def _parse_spelled(text: str, what: str, spellings: dict, from_json):
         raise UsageError(f"unknown {what} kind {spelling!r} ({'|'.join(spellings)})")
     kind, fields = spellings[spelling]
     if spelling == "poly":
-        values = [body.split(",")]
+        values = [body.split(",") if body else []]
     elif spelling == "list":
         listed, _, tail = body.partition("|")
         values = [listed.split(",") if listed else [], tail]

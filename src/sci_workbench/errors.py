@@ -77,6 +77,10 @@ class GridTooCoarse(WorkbenchError):
     """Grid spacing or extent is insufficient for the requested epsilon set."""
 
 
+class BadGrid(WorkbenchError, ValueError):
+    """A sampling grid that is not a finite rectangle or has more points than the budget."""
+
+
 class EmptySet(WorkbenchError):
     """A compact-set operation received no points."""
 

@@ -127,6 +127,12 @@ class Sine(FunctionDescription):
     amplitude: float
     frequency: float
 
+    def __post_init__(self):
+        if not (math.isfinite(self.amplitude) and math.isfinite(self.frequency)):
+            raise ValueError("sine amplitude and frequency must be finite")
+        if self.frequency == 0:
+            raise ValueError("sine frequency must be nonzero; use the zero polynomial instead")
+
     def value(self, x):
         return self.amplitude * math.sin(self.frequency * float(x))
 

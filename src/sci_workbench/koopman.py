@@ -14,14 +14,28 @@ the diagonal similarity and leave eigenvalues untouched.
 from __future__ import annotations
 
 import cmath
+import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
-from .core import InputCatalog, OutputSpace, Problem, QueryFamily, Tower, fixed_query_algorithm
-from .errors import EmptySet, GridTooCoarse
+from .core import (
+    DEFAULT_BUDGET,
+    InputCatalog,
+    OutputSpace,
+    Problem,
+    QueryFamily,
+    Tower,
+    fixed_query_algorithm,
+)
+from .errors import BadGrid, EmptySet, GridTooCoarse
+
+#: Complex entries per temporary block (64 KiB) in the grid SVD and Hausdorff kernels;
+#: a block never holds less than one matrix or one row of distances.
+_CHUNK_ENTRIES = 4096
 
 
 @dataclass(frozen=True)
@@ -105,11 +119,26 @@ def sigma_inf(matrix: KoopmanMatrix, z: complex, weights: Sequence[Fraction] | N
     W^(1/2) (M - zI) W^(-1/2), i.e. the infimum of the weighted 2-norm of
     (K_F - zI)g over the weighted unit sphere.
     """
-    a = matrix.as_array() - complex(z) * np.eye(matrix.size)
-    if weights is not None:
-        w = np.sqrt(np.array([float(x) for x in weights]))
-        a = (a * w[:, None]) / w[None, :]
-    return float(np.linalg.svd(a, compute_uv=False)[-1])
+    _, values = next(_sigma_inf_many(matrix, (z,), weights))
+    return float(values[0])
+
+
+def _sigma_inf_many(matrix: KoopmanMatrix, zs: Iterable, weights: Sequence[Fraction] | None):
+    """Yield (z chunk, sigma_inf array) over the z values, one stacked SVD per chunk.
+
+    The entries of each shifted, weighted matrix are formed exactly as for a
+    single z, so the values equal the one-point SVD bit for bit.
+    """
+    n = matrix.size
+    base, eye = matrix.as_array(), np.eye(n)
+    w = None if weights is None else np.sqrt(np.array([float(x) for x in weights]))
+    per_chunk = max(1, _CHUNK_ENTRIES // (n * n))
+    zs = iter(zs)
+    while chunk := list(itertools.islice(zs, per_chunk)):
+        stack = base - np.array(chunk, dtype=complex)[:, None, None] * eye
+        if w is not None:
+            stack = (stack * w[:, None]) / w[None, :]
+        yield chunk, np.linalg.svd(stack, compute_uv=False)[:, -1]
 
 
 @dataclass(frozen=True)
@@ -125,11 +154,23 @@ class CompactSetApprox:
 
 
 def hausdorff(a: CompactSetApprox, b: CompactSetApprox) -> float:
-    """Max of the two directed max-min distances between the point lists."""
-    pa, pb = _points(a), _points(b)
-    forward = max(min(abs(p - q) for q in pb) for p in pa)
-    backward = max(min(abs(p - q) for q in pa) for p in pb)
-    return float(max(forward, backward))
+    """Max of the two directed max-min distances between the point lists.
+
+    One pass over blocks of rows of A: each block's distances to all of B
+    give the row minima (A -> B) and update the running column minima
+    (B -> A).  ``hypot`` of the difference is Python's ``abs`` bit for bit.
+    """
+    pa = np.array(_points(a), dtype=complex)
+    pb = np.array(_points(b), dtype=complex)
+    rows = max(1, _CHUNK_ENTRIES // len(pb))
+    forward = 0.0
+    backward = np.full(len(pb), np.inf)
+    for start in range(0, len(pa), rows):
+        d = pa[start:start + rows, None] - pb[None, :]
+        dist = np.hypot(d.real, d.imag)
+        forward = max(forward, dist.min(axis=1).max())
+        np.minimum(backward, dist.min(axis=0), out=backward)
+    return float(max(forward, backward.max()))
 
 
 def _points(value) -> tuple[complex, ...]:
@@ -204,12 +245,27 @@ class GridSpec:
     spacing: float
 
     def __post_init__(self):
+        fields = (self.re_lo, self.re_hi, self.im_lo, self.im_hi, self.spacing)
+        if not all(math.isfinite(v) for v in fields):
+            raise BadGrid(f"grid fields must be finite, got {fields}")
         if self.spacing <= 0 or self.re_lo > self.re_hi or self.im_lo > self.im_hi:
-            raise ValueError("bad grid rectangle")
+            raise BadGrid("bad grid rectangle")
+        try:
+            n_re, n_im = self._steps()
+        except OverflowError:
+            raise BadGrid(f"grid rectangle overflows at spacing {self.spacing}") from None
+        count = (n_re + 1) * (n_im + 1)
+        if count > DEFAULT_BUDGET:
+            raise BadGrid(f"grid has {count} points, more than the budget {DEFAULT_BUDGET}")
+
+    def _steps(self) -> tuple[int, int]:
+        return (
+            int((self.re_hi - self.re_lo) / self.spacing + 1e-9),
+            int((self.im_hi - self.im_lo) / self.spacing + 1e-9),
+        )
 
     def points(self):
-        n_re = int((self.re_hi - self.re_lo) / self.spacing + 1e-9)
-        n_im = int((self.im_hi - self.im_lo) / self.spacing + 1e-9)
+        n_re, n_im = self._steps()
         for i in range(n_re + 1):
             for j in range(n_im + 1):
                 yield complex(self.re_lo + i * self.spacing, self.im_lo + j * self.spacing)
@@ -243,7 +299,9 @@ def sigma_ap_eps(
             and lam.imag + eps <= grid.im_hi
         ):
             raise GridTooCoarse(f"grid does not cover {lam} with an eps margin")
-    kept = [z for z in grid.points() if sigma_inf(matrix, z, weights) <= eps]
+    kept = []
+    for zs, values in _sigma_inf_many(matrix, grid.points(), weights):
+        kept.extend(itertools.compress(zs, values <= eps))
     kept.extend(spectrum.points)
     kept.sort(key=lambda p: (p.real, p.imag))
     return CompactSetApprox(tuple(kept), resolution=grid.spacing)

@@ -160,8 +160,8 @@ FRACTIONS = st.fractions(max_denominator=10**6)
 FLOATS = st.floats(allow_nan=False, allow_infinity=False)
 ORDERED = st.tuples(FRACTIONS, FRACTIONS).filter(lambda p: p[0] != p[1]).map(sorted)
 FUNCTIONS = st.one_of(
-    st.lists(FRACTIONS, min_size=1, max_size=5).map(lambda cs: ig.Polynomial(tuple(cs))),
-    st.builds(ig.Sine, FLOATS, FLOATS),
+    st.lists(FRACTIONS, min_size=0, max_size=5).map(lambda cs: ig.Polynomial(tuple(cs))),
+    st.builds(ig.Sine, FLOATS, FLOATS.filter(bool)),
     ORDERED.map(lambda p: ig.Bump(*p)),
 )
 DIAGONALS = st.one_of(
@@ -178,6 +178,62 @@ DIAGONALS = st.one_of(
 def test_spec_labels_round_trip(function, diagonal):
     assert parse_function_spec(function.label()) == function
     assert parse_diagonal_spec(diagonal.label()) == diagonal
+
+
+BAD_SINES = ["sine:inf,1", "sine:nan,1", "sine:1,0", "sine:1,-inf"]
+
+
+@pytest.mark.parametrize("spec", BAD_SINES)
+def test_non_finite_or_zero_frequency_sine_exits_2(spec, capsys):
+    argv = ["--json", "integrate", "tower", "--interval", "0", "1", "--function", spec, "--n", "4"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("usage error: bad function spec") and "Traceback" not in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("fields", [(float("inf"), 1.0), (1.0, float("nan")), (1.0, 0.0)])
+def test_catalog_rejects_bad_sine(fields, tmp_path):
+    amplitude, frequency = fields
+    with pytest.raises(ValueError):
+        function_from_json({"kind": "sine", "amplitude": amplitude, "frequency": frequency})
+    entry = {"problem": "integration", "params": {"interval": ["0", "1"], "functions": [
+        {"kind": "sine", "amplitude": amplitude, "frequency": frequency}]}}
+    path = tmp_path / "catalog.json"
+    path.write_text(json.dumps({"schema": "sci-workbench/catalog@1", "entries": [entry]}))
+    with pytest.raises(CatalogError, match="sine"):
+        load_catalog(path)
+
+
+def test_empty_poly_spelling_is_the_zero_polynomial():
+    assert parse_function_spec("poly:") == ig.Polynomial(()) == function_from_json(
+        {"kind": "poly", "coeffs": []}
+    )
+
+
+BAD_GRIDS = {
+    "nan-spacing": ["-1.5", "1.5", "-1.5", "1.5", "nan"],
+    "inf-spacing": ["-1.5", "1.5", "-1.5", "1.5", "inf"],
+    "inf-corner": ["-1.5", "inf", "-1.5", "1.5", "0.02"],
+    "over-budget": ["-1.5", "1.5", "-1.5", "1.5", "1e-4"],
+}
+
+
+@pytest.mark.parametrize("grid", BAD_GRIDS.values(), ids=BAD_GRIDS.keys())
+def test_bad_grid_exits_2_before_any_grid_point(grid, monkeypatch, capsys):
+    from sci_workbench import koopman as kp
+
+    def no_grid(*args):
+        raise AssertionError("grid evaluated")
+
+    monkeypatch.setattr(kp.GridSpec, "points", no_grid)
+    monkeypatch.setattr(kp, "_sigma_inf_many", no_grid)
+    argv = ["--json", "koopman", "finite", "--map", "2,1", "--target", "apeps",
+            "--epsilon", "0.1", "--grid", *grid]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: BadGrid:") and "Traceback" not in captured.err
+    assert captured.out == ""
 
 
 def eval_fraction(text):

@@ -2,13 +2,14 @@ import itertools
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sci_workbench import koopman as kp
-from sci_workbench.core import run_algorithm
-from sci_workbench.errors import EmptySet, GridTooCoarse
+from sci_workbench.core import DEFAULT_BUDGET, run_algorithm
+from sci_workbench.errors import BadGrid, EmptySet, GridTooCoarse
 
 
 def all_tables(n):
@@ -179,3 +180,124 @@ class TestHeightZeroCollapse:
                 assert kp.hausdorff(output, problem.target(table)) == 0.0
                 gap = kp.hausdorff(output, kp.eigenvalue_oracle(kp.koopman_matrix(space, table)))
                 assert gap <= 1e-10
+
+
+def reference_sigma_inf(matrix, z, weights=None):
+    """One SVD per point: the loop the stacked kernel replaced."""
+    a = matrix.as_array() - complex(z) * np.eye(matrix.size)
+    if weights is not None:
+        w = np.sqrt(np.array([float(x) for x in weights]))
+        a = (a * w[:, None]) / w[None, :]
+    return float(np.linalg.svd(a, compute_uv=False)[-1])
+
+
+def reference_hausdorff(a, b):
+    """Double loop over point pairs: the kernel the single pass replaced."""
+    pa, pb = a.points, b.points
+    forward = max(min(abs(p - q) for q in pb) for p in pa)
+    backward = max(min(abs(p - q) for q in pa) for p in pb)
+    return float(max(forward, backward))
+
+
+@st.composite
+def koopman_cases(draw):
+    n = draw(st.integers(1, 32))
+    image = tuple(draw(st.lists(st.integers(1, n), min_size=n, max_size=n)))
+    weights = draw(st.none() | st.lists(
+        st.fractions(min_value=Fraction(1, 8), max_value=8), min_size=n, max_size=n
+    ).map(tuple))
+    return kp.koopman_matrix(kp.uniform_space(n), kp.MapTable(image)), weights
+
+
+class TestStackedSigmaInf:
+    @settings(max_examples=60, deadline=None)
+    @given(koopman_cases(), st.integers(1, 5), st.integers(0, 2**32 - 1))
+    def test_equals_per_point_svd_bit_for_bit(self, case, extra, seed):
+        matrix, weights = case
+        rng = random.Random(seed)
+        per_chunk = max(1, kp._CHUNK_ENTRIES // matrix.size**2)
+        zs = [0j, 1 + 0j, -1 + 0j, 1j]
+        zs += [complex(rng.uniform(-2, 2), rng.uniform(-2, 2)) for _ in range(per_chunk + extra)]
+        chunks = list(kp._sigma_inf_many(matrix, zs, weights))
+        assert len(chunks) > 1
+        assert [z for chunk, _ in chunks for z in chunk] == zs
+        stacked = [float(v) for _, values in chunks for v in values]
+        assert stacked == [reference_sigma_inf(matrix, z, weights) for z in zs]
+        assert kp.sigma_inf(matrix, zs[-1], weights) == stacked[-1]
+
+    @pytest.mark.parametrize("n,eps,permutation", [(3, 0.5, False), (8, 0.25, True), (17, 0.5, False)])
+    def test_ap_eps_equals_per_point_grid(self, n, eps, permutation):
+        rng = random.Random(n)
+        image = rng.sample(range(1, n + 1), n) if permutation else [rng.randint(1, n) for _ in range(n)]
+        weights = tuple(Fraction(rng.randint(1, 8), rng.randint(1, 4)) for _ in range(n))
+        matrix = kp.koopman_matrix(kp.uniform_space(n), kp.MapTable(tuple(image)))
+        reach = 1 + eps + eps / 4
+        grid = kp.GridSpec(-reach, reach, -reach, reach, eps / 4)
+        kept = [z for z in grid.points() if reference_sigma_inf(matrix, z, weights) <= eps]
+        kept.extend(kp.sigma_ap(matrix, weights).points)
+        kept.sort(key=lambda p: (p.real, p.imag))
+        assert kp.sigma_ap_eps(matrix, eps, grid, weights).points == tuple(kept)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 12).flatmap(lambda n: st.permutations(range(1, n + 1))),
+           st.complex_numbers(max_magnitude=3, allow_nan=False, allow_infinity=False))
+    def test_permutation_is_distance_to_spectrum(self, image, z):
+        # K_F of a permutation is unitary, so sigma_inf(z) = dist(z, sigma_ap)
+        space = kp.uniform_space(len(image))
+        matrix = kp.koopman_matrix(space, kp.MapTable(tuple(image)))
+        distance = min(abs(z - lam) for lam in kp.sigma_ap(matrix).points)
+        assert abs(kp.sigma_inf(matrix, z, space.weights) - distance) <= 1e-12
+
+
+def random_points(rng, count):
+    return kp.CompactSetApprox(tuple(complex(rng.gauss(0, 2), rng.gauss(0, 2)) for _ in range(count)))
+
+
+class TestSinglePassHausdorff:
+    @pytest.mark.parametrize("sizes", [(1, 1), (1, 9), (9, 1), (3, 50), (100, 100), (5000, 2), (2, 5000)])
+    def test_equals_double_loop_bit_for_bit(self, sizes, rng):
+        a, b = (random_points(rng, size) for size in sizes)
+        assert kp.hausdorff(a, b) == reference_hausdorff(a, b)
+        assert kp.hausdorff(b, a) == reference_hausdorff(b, a)
+
+    def test_grid_sample_against_spectrum(self):
+        matrix = kp.koopman_matrix(kp.uniform_space(4), kp.MapTable((2, 1, 1, 3)))
+        approx = kp.sigma_ap_eps(matrix, 0.25, kp.GridSpec(-1.4, 1.4, -1.4, 1.4, 0.0625))
+        assert len(approx.points) > kp._CHUNK_ENTRIES ** 0.5
+        spectrum = kp.sigma_ap(matrix)
+        assert kp.hausdorff(approx, spectrum) == reference_hausdorff(approx, spectrum)
+        assert kp.hausdorff(approx, approx) == 0.0
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(st.complex_numbers(max_magnitude=1e6, allow_nan=False, allow_infinity=False),
+                 min_size=1, max_size=40),
+        st.lists(st.complex_numbers(max_magnitude=1e6, allow_nan=False, allow_infinity=False),
+                 min_size=1, max_size=40),
+    )
+    def test_equals_double_loop_on_samples(self, xs, ys):
+        a, b = kp.CompactSetApprox(tuple(xs)), kp.CompactSetApprox(tuple(ys))
+        assert kp.hausdorff(a, b) == reference_hausdorff(a, b)
+
+
+class TestGridPreflight:
+    @pytest.mark.parametrize("fields", [
+        (-1.5, 1.5, -1.5, 1.5, float("nan")),
+        (-1.5, 1.5, -1.5, 1.5, float("inf")),
+        (float("-inf"), 1.5, -1.5, 1.5, 0.02),
+        (-1.5, 1.5, -1.5, float("nan"), 0.02),
+        (-1e308, 1e308, -1.5, 1.5, 1.0),
+        (-1.5, 1.5, -1.5, 1.5, 1e-4),
+        (-1.5, 1.5, -1.5, 1.5, 0.0),
+        (1.5, -1.5, -1.5, 1.5, 0.02),
+    ])
+    def test_rejected_before_any_point(self, fields):
+        with pytest.raises(BadGrid):
+            kp.GridSpec(*fields)
+
+    def test_budget_is_inclusive(self):
+        side = int(DEFAULT_BUDGET**0.5)
+        n_re, n_im = kp.GridSpec(0, side - 1, 0, side - 1, 1.0)._steps()
+        assert (n_re + 1) * (n_im + 1) == DEFAULT_BUDGET
+        with pytest.raises(BadGrid):
+            kp.GridSpec(0, side, 0, side - 1, 1.0)
