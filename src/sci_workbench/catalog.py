@@ -154,6 +154,8 @@ def load_catalog(path: str | Path | None = None) -> Catalog:
         document = json.loads(location.read_text())
     except FileNotFoundError as exc:
         raise CatalogError(f"catalog file not found: {location}") from exc
+    except (OSError, UnicodeDecodeError) as exc:
+        raise CatalogError(f"cannot read catalog {location}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise CatalogError(f"{location}: invalid JSON at line {exc.lineno}") from exc
 

@@ -485,7 +485,10 @@ def _cmd_degrees_counterexample(args, seed):
 def _cmd_reduce_verify(args, seed):
     raw = args.spec
     if os.path.exists(raw):
-        raw = Path(raw).read_text()
+        try:
+            raw = Path(raw).read_text()
+        except (OSError, UnicodeDecodeError) as exc:
+            raise UsageError(f"cannot read --spec file {args.spec!r}: {exc}") from None
     try:
         spec = json.loads(raw)
     except json.JSONDecodeError as exc:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from numbers import Rational
-from typing import Sequence
+from typing import Any, Callable, Sequence
 
 from .core import (
     GeneralAlgorithm,
@@ -23,6 +23,7 @@ from .core import (
     Problem,
     QueryFamily,
     Tower,
+    check_budget,
     fixed_query_algorithm,
 )
 from .errors import DegenerateInterval
@@ -84,19 +85,25 @@ class Polynomial(FunctionDescription):
 
     coeffs: tuple[Fraction, ...]
 
+    def __post_init__(self):
+        # the coefficients as one integer vector over a common denominator,
+        # highest degree first, for the integer Horner kernel of value()
+        den = math.lcm(*(c.denominator for c in self.coeffs))
+        ints = tuple(c.numerator * (den // c.denominator) for c in reversed(self.coeffs))
+        object.__setattr__(self, "_horner", (den, ints))
+
     def value(self, x):
         if not self.coeffs:
             return Fraction(0)
         if isinstance(x, Fraction):
-            # integer Horner with one normalizing Fraction at the end;
-            # much cheaper than chained Fraction ops on 3.10
+            # q^deg * P(p/q) by integer Horner, then one normalising Fraction
+            den, (num, *rest) = self._horner
             p, q = x.numerator, x.denominator
-            lead, *rest = reversed(self.coeffs)
-            num, den = lead.numerator, lead.denominator
+            qk = 1
             for c in rest:
-                num = num * c.denominator * p + c.numerator * den * q
-                den = den * c.denominator * q
-            return Fraction(num, den)
+                qk *= q
+                num = num * p + c * qk
+            return Fraction(num, den * qk)
         acc = self.coeffs[-1]
         for c in reversed(self.coeffs[:-1]):
             acc = acc * x + c
@@ -157,12 +164,22 @@ class Bump(FunctionDescription):
     def __post_init__(self):
         if not self.u < self.v:
             raise ValueError("bump support needs u < v")
+        # value(p/q) = (w*q - |2*d*p - s*q|) / (w*q), clipped at 0, where d is a
+        # common denominator of u and v, s = (u + v)*d and w = (v - u)*d
+        un, ud = self.u.numerator, self.u.denominator
+        vn, vd = self.v.numerator, self.v.denominator
+        object.__setattr__(self, "_tent", (2 * ud * vd, un * vd + vn * ud, vn * ud - un * vd))
 
     @property
     def apex(self) -> Fraction:
         return (self.u + self.v) / 2
 
     def value(self, x):
+        if type(x) is Fraction or isinstance(x, Rational):
+            d2, s, w = self._tent
+            p, q = x.numerator, x.denominator
+            num = w * q - abs(d2 * p - s * q)
+            return Fraction(num, w * q) if num > 0 else Fraction(0)
         slope = Fraction(2, 1) / (self.v - self.u)
         return max(1 - slope * abs(x - self.apex), Fraction(0))
 
@@ -193,8 +210,20 @@ class AffineImage(FunctionDescription):
     def __post_init__(self):
         if self.alpha <= 0:
             raise ValueError("affine images here use alpha > 0")
+        # alpha*x + beta = (m*p + k*q) / (d*q) for x = p/q; scale = sn/sd
+        an, ad = self.alpha.numerator, self.alpha.denominator
+        bn, bd = self.beta.numerator, self.beta.denominator
+        sn, sd = self.scale.numerator, self.scale.denominator
+        object.__setattr__(self, "_affine", (an * bd, bn * ad, ad * bd, sn, sd))
 
     def value(self, x):
+        if type(x) is Fraction or isinstance(x, Rational):
+            m, k, d, sn, sd = self._affine
+            p, q = x.numerator, x.denominator
+            y = self.base.value(Fraction(m * p + k * q, d * q))
+            if type(y) is Fraction:
+                return Fraction(sn * y.numerator, sd * y.denominator)
+            return self.scale * y
         return self.scale * self.base.value(self.alpha * x + self.beta)
 
     def integral(self, a, b):
@@ -230,6 +259,28 @@ def _is_coordinate(x) -> bool:
     return isinstance(x, Rational) and not isinstance(x, bool)
 
 
+def _ev_point(iv: Interval) -> Callable[[Any], Any]:
+    """Membership test of point-evaluation ids on ``iv``.
+
+    The returned function maps ("ev", x) with rational, non-bool x in
+    [a, b] to x and every other id to None; the range check is integer
+    cross-multiplication on the numerators and denominators.
+    """
+    an, ad = iv.a.numerator, iv.a.denominator
+    bn, bd = iv.b.numerator, iv.b.denominator
+
+    def point(qid):
+        if isinstance(qid, tuple) and len(qid) == 2 and qid[0] == "ev":
+            x = qid[1]
+            if type(x) is Fraction or _is_coordinate(x):
+                p, q = x.numerator, x.denominator
+                if an * q <= p * ad and p * bd <= bn * q:
+                    return x
+        return None
+
+    return point
+
+
 def make_problem(iv: Interval, functions: Sequence[FunctionDescription] | None = None) -> Problem:
     """The integration problem on ``iv``: point-evaluation queries, exact target.
 
@@ -239,18 +290,13 @@ def make_problem(iv: Interval, functions: Sequence[FunctionDescription] | None =
     """
     members = tuple(functions) if functions is not None else default_functions(iv)
     a, b = iv.a, iv.b
+    point = _ev_point(iv)
 
     def resolver(qid):
-        if (
-            isinstance(qid, tuple)
-            and len(qid) == 2
-            and qid[0] == "ev"
-            and _is_coordinate(qid[1])
-            and a <= qid[1] <= b
-        ):
-            x = qid[1]
-            return lambda f: f.value(x)
-        return None
+        x = point(qid)
+        if x is None:
+            return None
+        return lambda f: f.value(x)
 
     if iv.degenerate:
         canonical = (("ev", a),)
@@ -299,11 +345,32 @@ def rectangle_tower(iv: Interval) -> Tower:
         (n,) = idx
         if n < 1:
             raise ValueError("stage index must be >= 1")
+        name = f"rectangle{iv}@{n}"
+        check_budget(name, n)
         h = iv.length / n
         ids = _grid_ids(iv.a, iv.b, n)
-        return fixed_query_algorithm(f"rectangle{iv}@{n}", ids, lambda vals: h * sum(vals))
+        return fixed_query_algorithm(name, ids, lambda vals: h * _exact_sum(vals))
 
     return Tower(f"rectangle{iv}", 1, stages)
+
+
+def _exact_sum(values):
+    """``sum(values)``, accumulated as one integer over a running common denominator.
+
+    Any value that is not a Fraction (a sine's float, say) sends the whole
+    list to builtin ``sum``, so float results stay bit-identical.
+    """
+    num, den = 0, 1
+    for v in values:
+        if type(v) is not Fraction:
+            return sum(values)
+        d = v.denominator
+        if den % d:
+            g = math.gcd(den, d)
+            num, den = num * (d // g) + v.numerator * (den // g), den // g * d
+        else:
+            num += v.numerator * (den // d)
+    return Fraction(num, den)
 
 
 @lru_cache(maxsize=128)
@@ -320,6 +387,7 @@ def grid_nodes(iv: Interval, n: int) -> tuple[Fraction, ...]:
     """The n left-endpoint nodes used by stage n of the rectangle tower."""
     if n < 1:
         raise ValueError("n must be >= 1")
+    check_budget(f"grid_nodes{iv}@{n}", n)
     return tuple(qid[1] for qid in _grid_ids(iv.a, iv.b, n))
 
 
@@ -391,17 +459,23 @@ def affine_reduction(target: Problem, source: Problem | None = None) -> Reductio
     def encoder(f: FunctionDescription) -> AffineImage:
         return AffineImage(f, ratio, ratio, shift)
 
+    point = _ev_point(t)
+    rn, rd = ratio.numerator, ratio.denominator
+    sn, sd = shift.numerator, shift.denominator
+    m, k, d = rn * sd, sn * rd, rd * sd  # ratio*x + shift = (m*p + k*q) / (d*q) for x = p/q
+
+    def combine(vals):
+        z = vals[0]
+        if type(z) is Fraction:
+            return Fraction(rn * z.numerator, rd * z.denominator)
+        return z * ratio
+
     def rule(qid):
-        if (
-            isinstance(qid, tuple)
-            and len(qid) == 2
-            and qid[0] == "ev"
-            and _is_coordinate(qid[1])
-            and t.a <= qid[1] <= t.b
-        ):
-            source_id = ("ev", ratio * qid[1] + shift)
-            return PlanEntry((source_id,), lambda vals, _r=ratio: vals[0] * _r)
-        return None
+        x = point(qid)
+        if x is None:
+            return None
+        p, q = x.numerator, x.denominator
+        return PlanEntry((("ev", Fraction(m * p + k * q, d * q)),), combine)
 
     return Reduction(
         name=f"affine[{s}->{t}]",

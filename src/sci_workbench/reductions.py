@@ -15,6 +15,7 @@ import enum
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from numbers import Number
 from typing import Any, Callable
 
 from .core import (
@@ -24,6 +25,7 @@ from .core import (
     Problem,
     QueryId,
     Tower,
+    check_budget,
 )
 from .errors import PlanGap, ProblemMismatch, TagIncompatible
 
@@ -234,6 +236,15 @@ def _mismatch(want, got, gap, tol: float) -> bool:
     return gap > tol
 
 
+def _tolerant(want, got) -> bool:
+    """Query answers compared within the tolerance: numbers, at least one float-tainted."""
+    return (
+        isinstance(want, Number)
+        and isinstance(got, Number)
+        and not (_is_exact(want) and _is_exact(got))
+    )
+
+
 def verify_reduction(
     reduction: Reduction,
     sample_count: int = 100,
@@ -244,13 +255,17 @@ def verify_reduction(
 ) -> VerificationReport:
     """Sample catalog inputs and plan-covered queries against the two defining equations.
 
-    Rational-valued data is compared exactly; anything involving floating
-    point is compared within ``tol``.  An encoded input the target does not
-    admit counts as a target failure and ends that sample.  Failures are
-    report content, never exceptions.
+    Query answers are compared by exact equality, except numbers involving
+    floating point, which are compared within ``tol``; targets compare
+    through the output distance in the same way.  An encoded input the
+    target does not admit counts as a target failure and ends that sample.
+    Failures are report content, never exceptions.  More than
+    ``DEFAULT_BUDGET`` sampled queries raise :class:`BudgetExceeded` before
+    any sampling.
     """
     if sample_count < 1:
         raise ValueError("sample_count must be >= 1")
+    check_budget(f"verify[{reduction.name}]", sample_count * queries_per_sample)
     rng = random.Random(seed)
     source, target = reduction.source, reduction.target
     distance = source.output_space.distance
@@ -282,9 +297,12 @@ def verify_reduction(
                 source.queries.resolve(sid).evaluate(a) for sid in entry.source_ids
             )
             got_q = entry.combine(answers)
-            gap_q = abs(want_q - got_q)
-            max_discrepancy = max(max_discrepancy, float(gap_q))
-            if _mismatch(want_q, got_q, gap_q, tol):
+            if _tolerant(want_q, got_q):
+                gap_q = abs(want_q - got_q)
+                max_discrepancy = max(max_discrepancy, float(gap_q))
+                if gap_q > tol:
+                    query_failures += 1
+            elif want_q != got_q:
                 query_failures += 1
 
     return VerificationReport(

@@ -25,6 +25,7 @@ from .core import (
     Problem,
     QueryFamily,
     Tower,
+    check_budget,
     fixed_query_algorithm,
 )
 from .errors import UncertifiedStabilizer, UnsupportedKind, WindowOutsideDomain
@@ -115,11 +116,16 @@ class HarmonicSequence(DiagonalSpec):
     def __post_init__(self):
         if self.coef == 0:
             raise ValueError("coef = 0 is the constant kind; use constant_diagonal")
+        # d_j = (m*j + k) / (d*j)
+        bn, bd = self.base.numerator, self.base.denominator
+        cn, cd = self.coef.numerator, self.coef.denominator
+        object.__setattr__(self, "_entry", (bn * cd, cn * bd, bd * cd))
 
     def entry(self, j: int) -> Fraction:
         if j < 1:
             raise ValueError("entries are 1-indexed")
-        return self.base + self.coef / j
+        m, k, d = self._entry
+        return Fraction(m * j + k, d * j)
 
     def spectrum_distance(self, z: Fraction) -> Fraction:
         # |z - d_j| = |coef| * |1/t - 1/j| with t = coef/(z - base); the 1/j
@@ -322,15 +328,12 @@ def source_problem(j_domain: Domain, pairs: Sequence[Pair], name: str | None = N
     """
 
     def matrix_entry(qid):
-        if (
-            len(qid) == 3
-            and qid[0] == "mu"
-            and all(isinstance(k, int) and k >= 1 for k in qid[1:])
-        ):
+        if len(qid) == 3 and qid[0] == "mu":
             i, j = qid[1], qid[2]
-            if i == j:
-                return lambda pair: pair[0].entry(i)
-            return lambda pair: Fraction(0)
+            if isinstance(i, int) and i >= 1 and isinstance(j, int) and j >= 1:
+                if i == j:
+                    return lambda pair: pair[0].entry(i)
+                return lambda pair: Fraction(0)
         return None
 
     def sample_entry(rng, kind):
@@ -371,16 +374,37 @@ def decision_tower(j_domain: Domain, threshold: Callable[[int], Fraction] | None
         n2, n1 = idx
         if n2 < 1 or n1 < 1:
             raise ValueError("stage indices must be >= 1")
+        name = f"decide[{j_domain}]@({n2},{n1})"
+        check_budget(name, n1 + 1)
         ids = (("rho", n2),) + tuple(("mu", j, j) for j in range(1, n1 + 1))
         cut = thr(n2)
 
         def finish(vals):
-            r, entries = vals[0], vals[1:]
-            return 1 if min(abs(d - r) for d in entries) > cut else 0
+            return 1 if _all_farther(vals[1:], vals[0], cut) else 0
 
-        return fixed_query_algorithm(f"decide[{j_domain}]@({n2},{n1})", ids, finish)
+        return fixed_query_algorithm(name, ids, finish)
 
     return Tower(f"decision[{j_domain[0]},{j_domain[1]}]", 2, stages)
+
+
+def _all_farther(values, r, cut) -> bool:
+    """``all(abs(d - r) > cut for d in values)``; for a nonempty list, ``min(...) > cut``.
+
+    Fractions compare by integer cross-multiplication; any other value
+    (a float reaching a pulled-back stage, say) takes the expression itself.
+    """
+    exact = type(r) is Fraction and type(cut) is Fraction
+    if exact:
+        rn, rd, cn, cd = r.numerator, r.denominator, cut.numerator, cut.denominator
+        cut_rd = cn * rd
+    for d in values:
+        if exact and type(d) is Fraction:
+            dd = d.denominator
+            if abs(d.numerator * rd - rn * dd) * cd <= cut_rd * dd:
+                return False
+        elif not abs(d - r) > cut:
+            return False
+    return True
 
 
 def stabilization_stages(spec: DiagonalSpec, window: Window) -> tuple[int, int]:

@@ -236,6 +236,51 @@ def test_bad_grid_exits_2_before_any_grid_point(grid, monkeypatch, capsys):
     assert captured.out == ""
 
 
+OVERSIZED = {
+    "integrate-tower-n": ["integrate", "tower", "--interval", "0", "1", "--function", "poly:0,1",
+                          "--n", "2000000"],
+    "spectral-decide-n1": ["spectral", "decide", "--diagonal", "const:2", "--z", "1",
+                           "--n1", "2000000"],
+    "reduce-pullback-n": ["reduce", "pullback", "--interval", "0", "2", "--n", "2000000"],
+    "integrate-reduce-samples": ["integrate", "reduce", "--interval", "0", "2",
+                                 "--samples", "10000000"],
+    "spectral-reduce-samples": ["spectral", "reduce", "--samples", "10000000"],
+    "reduce-verify-samples": ["reduce", "verify", "--spec",
+                              '{"rule": "integration_affine", "params": {"target": ["0", "2"]}}',
+                              "--samples", "10000000"],
+    "reduce-compose-samples": ["reduce", "compose", "--intervals", "0,1;0,2;0,4",
+                               "--samples", "10000000"],
+    "certify-package-samples": ["certify", "package", "--family", "integration",
+                                "--samples", "10000000"],
+    "degrees-join-samples": ["degrees", "join", "--samples", "10000000"],
+}
+
+
+@pytest.mark.parametrize("argv", OVERSIZED.values(), ids=OVERSIZED.keys())
+def test_oversized_request_exits_2_before_any_work(argv, monkeypatch, capsys):
+    from sci_workbench import core
+
+    def no_work(*args):
+        raise AssertionError("work started")
+
+    monkeypatch.setattr(ig, "_grid_ids", no_work)
+    monkeypatch.setattr(sp, "fixed_query_algorithm", no_work)
+    monkeypatch.setattr(core.InputCatalog, "sample", no_work)
+    monkeypatch.setattr(core.QueryFamily, "sample_ids", no_work)
+    assert main(["--json", *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: BudgetExceeded:") and "Traceback" not in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("argv", [["--catalog", "{dir}", "spectral", "reduce"],
+                                  ["reduce", "verify", "--spec", "{dir}"]])
+def test_directory_as_path_exits_2(argv, tmp_path, capsys):
+    assert main([arg.replace("{dir}", str(tmp_path)) for arg in argv]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and str(tmp_path) in err
+
+
 def eval_fraction(text):
     from fractions import Fraction
 

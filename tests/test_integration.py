@@ -5,8 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sci_workbench import integration as ig
-from sci_workbench.core import evaluate_tower, run_algorithm
-from sci_workbench.errors import DegenerateInterval
+from sci_workbench.core import DEFAULT_BUDGET, evaluate_tower, run_algorithm
+from sci_workbench.errors import BudgetExceeded, DegenerateInterval
 from sci_workbench.reductions import verify_reduction
 
 rationals_01 = st.fractions(min_value=0, max_value=1, max_denominator=64)
@@ -55,6 +55,19 @@ class TestRectangleTower:
         nodes = ig.grid_nodes(ig.interval(0, 1), 5)
         assert nodes == tuple(Fraction(j, 5) for j in range(5))
         assert all(a < b for a, b in zip(nodes, nodes[1:]))
+
+    def test_oversized_stage_refused_before_any_query_id(self, monkeypatch):
+        built = []
+        monkeypatch.setattr(ig, "_grid_ids", lambda a, b, n: built.append(n) or (("ev", a),))
+        tower = ig.rectangle_tower(ig.interval(0, 1))
+        with pytest.raises(BudgetExceeded):
+            tower.stage((DEFAULT_BUDGET + 1,))
+        with pytest.raises(BudgetExceeded):
+            ig.grid_nodes(ig.interval(0, 1), DEFAULT_BUDGET + 1)
+        assert built == []
+        tower.stage((DEFAULT_BUDGET,))  # the budget itself is allowed
+        ig.grid_nodes(ig.interval(0, 1), DEFAULT_BUDGET)
+        assert built == [DEFAULT_BUDGET, DEFAULT_BUDGET]
 
     def test_error_bound_brute_force(self):
         # the derived bound, checked against exact integrals on a dense stage sweep

@@ -6,13 +6,18 @@ import pytest
 from sci_workbench import integration as ig
 from sci_workbench import spectral as sp
 from sci_workbench.core import (
+    DEFAULT_BUDGET,
     Ask,
     GeneralAlgorithm,
+    InputCatalog,
+    OutputSpace,
+    Problem,
+    QueryFamily,
     check_locality,
     evaluate_tower,
     run_algorithm,
 )
-from sci_workbench.errors import PlanGap, ProblemMismatch, ProtocolViolation, TagIncompatible
+from sci_workbench.errors import BudgetExceeded, PlanGap, ProblemMismatch, ProtocolViolation, TagIncompatible
 from sci_workbench.reductions import (
     Decoder,
     DecoderClass,
@@ -27,6 +32,21 @@ from sci_workbench.reductions import (
     structural_feasibility,
     verify_reduction,
 )
+
+
+def _pair_problem() -> Problem:
+    """Inputs 0..4 answering query ("pair", k) with the tuple (k, k + input + 1)."""
+    return Problem(
+        name="pairs",
+        inputs=InputCatalog(range(5)),
+        output_space=OutputSpace("integers", lambda p, q: abs(p - q)),
+        target=lambda a: a,
+        queries=QueryFamily(
+            "pair-queries",
+            lambda qid: (lambda a, _k=qid[1]: (_k, _k + a + 1)) if qid[0] == "pair" else None,
+            canonical_ids=tuple(("pair", k) for k in range(1, 4)),
+        ),
+    )
 
 
 @pytest.fixture
@@ -161,6 +181,42 @@ class TestVerify:
         assert not report.passed
         assert report.query_failures > 0
         assert report.target_failures == 0
+
+    def test_tuple_valued_answers_compare_exactly(self):
+        # query answers are pairs; the abs() comparison raised TypeError on them
+        problem = _pair_problem()
+        assert verify_reduction(identity_reduction(problem), 10).passed
+
+        def swapped(qid):
+            return PlanEntry((qid,), lambda vals: vals[0][::-1])
+
+        bad = dataclasses.replace(identity_reduction(problem), plan=QueryPlan("swap", swapped))
+        report = verify_reduction(bad, 10, queries_per_sample=4)
+        assert not report.passed
+        assert report.query_failures == 40 and report.max_discrepancy == 0.0
+
+    def test_float_answers_keep_the_tolerance(self):
+        problem = ig.make_problem(ig.interval(0, 1), (ig.Sine(1.0, 1.0),))
+
+        def nudged(qid, _by=1e-12):
+            return PlanEntry((qid,), lambda vals: vals[0] + _by)
+
+        near = dataclasses.replace(identity_reduction(problem), plan=QueryPlan("near", nudged))
+        report = verify_reduction(near, 5)
+        assert report.passed and 0 < report.max_discrepancy <= report.tol
+
+    def test_oversized_request_refused_before_sampling(self, chain, monkeypatch):
+        def no_sampling(*args):
+            raise AssertionError("sampled")
+
+        monkeypatch.setattr(InputCatalog, "sample", no_sampling)
+        reduction = ig.affine_reduction(chain[1], chain[0])
+        with pytest.raises(BudgetExceeded):
+            verify_reduction(reduction, DEFAULT_BUDGET // 20 + 1)
+        with pytest.raises(BudgetExceeded):
+            verify_reduction(reduction, 2, queries_per_sample=DEFAULT_BUDGET)
+        with pytest.raises(AssertionError, match="sampled"):  # the budget itself is allowed
+            verify_reduction(reduction, DEFAULT_BUDGET // 20)
 
     def test_stabilization_forward_mixed_blocks(self, spectral_source):
         domain = spectral_source.params["domain"]

@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sci_workbench import spectral as sp
-from sci_workbench.core import evaluate_tower
-from sci_workbench.errors import UncertifiedStabilizer, UnsupportedKind, WindowOutsideDomain
+from sci_workbench.core import DEFAULT_BUDGET, evaluate_tower
+from sci_workbench.errors import BudgetExceeded, UncertifiedStabilizer, UnsupportedKind, WindowOutsideDomain
 from sci_workbench.reductions import compose, verify_reduction
 
 J = sp.domain(0, 1)
@@ -134,6 +134,17 @@ class TestDecisionTower:
                 value = evaluate_tower(tower, (3, n1), spectral_source, pair)
                 assert value <= previous
                 previous = value
+
+    def test_oversized_stage_refused_before_any_query_id(self, monkeypatch):
+        def no_algorithm(*args):
+            raise AssertionError("query ids built")
+
+        monkeypatch.setattr(sp, "fixed_query_algorithm", no_algorithm)
+        tower = sp.decision_tower(J)
+        with pytest.raises(BudgetExceeded):  # rho plus 10^6 entries
+            tower.stage((1, DEFAULT_BUDGET))
+        with pytest.raises(AssertionError, match="query ids built"):
+            tower.stage((1, 8))
 
     def test_oracle_agreement_at_derived_stages(self, spectral_source):
         tower = sp.decision_tower(spectral_source.params["domain"])
