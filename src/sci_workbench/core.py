@@ -207,10 +207,12 @@ class GeneralAlgorithm:
             raise ValueError("budget must be a positive integer")
 
 
-def check_budget(name: str, queries: int, budget: int = DEFAULT_BUDGET) -> None:
-    """Refuse, before anything is allocated, a request for more than ``budget`` queries."""
-    if queries > budget:
-        raise BudgetExceeded(f"{name} would ask {queries} queries, over the budget of {budget}")
+def check_budget(name: str, queries: int) -> None:
+    """Refuse, before anything is allocated, a request for more than ``DEFAULT_BUDGET`` queries."""
+    if queries > DEFAULT_BUDGET:
+        raise BudgetExceeded(
+            f"{name} would ask {queries} queries, over the budget of {DEFAULT_BUDGET}"
+        )
 
 
 def fixed_query_algorithm(

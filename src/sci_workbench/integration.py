@@ -79,6 +79,12 @@ class FunctionDescription:
         return self.value(x)
 
 
+def _require_rational(field: str, value) -> None:
+    """The exact kernels read numerator and denominator; refuse anything else by name."""
+    if not isinstance(value, Rational):
+        raise TypeError(f"{field} must be rational (Fraction or int), got {value!r}")
+
+
 @dataclass(frozen=True)
 class Polynomial(FunctionDescription):
     """sum(coeffs[i] * x**i); all arithmetic exact."""
@@ -86,6 +92,8 @@ class Polynomial(FunctionDescription):
     coeffs: tuple[Fraction, ...]
 
     def __post_init__(self):
+        for i, c in enumerate(self.coeffs):
+            _require_rational(f"Polynomial.coeffs[{i}]", c)
         # the coefficients as one integer vector over a common denominator,
         # highest degree first, for the integer Horner kernel of value()
         den = math.lcm(*(c.denominator for c in self.coeffs))
@@ -162,6 +170,8 @@ class Bump(FunctionDescription):
     v: Fraction
 
     def __post_init__(self):
+        _require_rational("Bump.u", self.u)
+        _require_rational("Bump.v", self.v)
         if not self.u < self.v:
             raise ValueError("bump support needs u < v")
         # value(p/q) = (w*q - |2*d*p - s*q|) / (w*q), clipped at 0, where d is a
@@ -208,6 +218,8 @@ class AffineImage(FunctionDescription):
     beta: Fraction
 
     def __post_init__(self):
+        for field in ("scale", "alpha", "beta"):
+            _require_rational(f"AffineImage.{field}", getattr(self, field))
         if self.alpha <= 0:
             raise ValueError("affine images here use alpha > 0")
         # alpha*x + beta = (m*p + k*q) / (d*q) for x = p/q; scale = sn/sd

@@ -236,15 +236,6 @@ def _mismatch(want, got, gap, tol: float) -> bool:
     return gap > tol
 
 
-def _tolerant(want, got) -> bool:
-    """Query answers compared within the tolerance: numbers, at least one float-tainted."""
-    return (
-        isinstance(want, Number)
-        and isinstance(got, Number)
-        and not (_is_exact(want) and _is_exact(got))
-    )
-
-
 def verify_reduction(
     reduction: Reduction,
     sample_count: int = 100,
@@ -255,9 +246,11 @@ def verify_reduction(
 ) -> VerificationReport:
     """Sample catalog inputs and plan-covered queries against the two defining equations.
 
-    Query answers are compared by exact equality, except numbers involving
-    floating point, which are compared within ``tol``; targets compare
-    through the output distance in the same way.  An encoded input the
+    Numeric query answers add their gap to ``max_discrepancy``; exact
+    numbers must agree exactly, numbers involving floating point within
+    ``tol``.  Other query answers (tuples, say) are compared by equality.
+    Targets compare through the output distance in the same way as
+    numbers.  An encoded input the
     target does not admit counts as a target failure and ends that sample.
     Failures are report content, never exceptions.  More than
     ``DEFAULT_BUDGET`` sampled queries raise :class:`BudgetExceeded` before
@@ -297,10 +290,10 @@ def verify_reduction(
                 source.queries.resolve(sid).evaluate(a) for sid in entry.source_ids
             )
             got_q = entry.combine(answers)
-            if _tolerant(want_q, got_q):
+            if isinstance(want_q, Number) and isinstance(got_q, Number):
                 gap_q = abs(want_q - got_q)
                 max_discrepancy = max(max_discrepancy, float(gap_q))
-                if gap_q > tol:
+                if _mismatch(want_q, got_q, gap_q, tol):
                     query_failures += 1
             elif want_q != got_q:
                 query_failures += 1

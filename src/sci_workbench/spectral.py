@@ -17,6 +17,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from numbers import Rational
 from typing import Callable, Sequence
 
 from .core import (
@@ -114,6 +115,12 @@ class HarmonicSequence(DiagonalSpec):
     coef: Fraction
 
     def __post_init__(self):
+        for field in ("base", "coef"):
+            value = getattr(self, field)
+            if not isinstance(value, Rational):
+                raise TypeError(
+                    f"HarmonicSequence.{field} must be rational (Fraction or int), got {value!r}"
+                )
         if self.coef == 0:
             raise ValueError("coef = 0 is the constant kind; use constant_diagonal")
         # d_j = (m*j + k) / (d*j)

@@ -5,8 +5,10 @@ for.  Every kernel must return a value equal to its reference and of the
 same type; floats must match bit for bit (compared through ``repr``).
 """
 
+import re
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -235,3 +237,18 @@ def test_affine_rule_matches_reference(data, source_ends, target_ends):
 def test_spectral_matrix_entry_membership_matches_reference(qid):
     problem = sp.source_problem(sp.domain(0, 1), ())
     assert (qid in problem.queries) == ref_mu_member(qid)
+
+
+@pytest.mark.parametrize(
+    "build, field",
+    [
+        (lambda: ig.Polynomial((Fraction(1), 0.5)), "Polynomial.coeffs[1]"),
+        (lambda: ig.Bump(0.25, Fraction(1)), "Bump.u"),
+        (lambda: ig.Bump(Fraction(0), 1.0), "Bump.v"),
+        (lambda: ig.AffineImage(ig.Bump(Fraction(0), Fraction(1)), 1, 0.5, 0), "AffineImage.alpha"),
+        (lambda: sp.HarmonicSequence(Fraction(1), 0.5), "HarmonicSequence.coef"),
+    ],
+)
+def test_kernel_fields_refuse_floats_by_name(build, field):
+    with pytest.raises(TypeError, match=re.escape(field)):
+        build()

@@ -195,6 +195,20 @@ class TestVerify:
         assert not report.passed
         assert report.query_failures == 40 and report.max_discrepancy == 0.0
 
+    def test_exact_number_mismatch_reports_its_gap(self, chain):
+        good = ig.affine_reduction(chain[1], chain[0])
+
+        def off_by_third(qid):
+            entry = good.plan.rule(qid)
+            if entry is None:
+                return None
+            return PlanEntry(entry.source_ids, lambda vals, _e=entry: _e.combine(vals) + Fraction(1, 3))
+
+        bad = dataclasses.replace(good, plan=QueryPlan("off", off_by_third))
+        report = verify_reduction(bad, 5, queries_per_sample=4)
+        assert not report.passed
+        assert report.query_failures == 20 and report.max_discrepancy == pytest.approx(1 / 3)
+
     def test_float_answers_keep_the_tolerance(self):
         problem = ig.make_problem(ig.interval(0, 1), (ig.Sine(1.0, 1.0),))
 
