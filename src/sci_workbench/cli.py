@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass, is_dataclass
@@ -25,7 +26,7 @@ from . import koopman as kp
 from . import spectral as sp
 from .catalog import diagonal_from_json, function_from_json, load_catalog, reduction_from_json
 from .core import evaluate_tower, run_algorithm
-from .errors import CatalogError, UsageError, WorkbenchError
+from .errors import CatalogError, NonFiniteReport, UsageError, WorkbenchError
 from .reductions import compose, pullback_tower, verify_reduction
 
 REPORT_SCHEMA = "sci-workbench/run-report@1"
@@ -141,6 +142,12 @@ def _points_list(text: str) -> list[Fraction]:
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse would sys.exit; surface a typed error instead
         raise UsageError(f"{message}\n{self.format_usage()}")
+
+    def _parse_optional(self, arg_string):
+        # no option starts with a digit, so "-3/2" or "-1.5" is a value, not an option
+        if arg_string[:1] == "-" and arg_string[1:2].isdigit():
+            return None
+        return super()._parse_optional(arg_string)
 
 
 def build_parser() -> _Parser:
@@ -558,8 +565,25 @@ _HANDLERS = {
 }
 
 
+def _require_finite(value, path: str) -> None:
+    """Refuse a JSON-ready value holding Infinity or NaN, naming the first such field."""
+    if isinstance(value, float):
+        if not math.isfinite(value):
+            raise NonFiniteReport(f"{path} is {value!r}, which strict JSON cannot encode")
+    elif isinstance(value, dict):
+        for key, item in value.items():
+            _require_finite(item, f"{path}.{key}")
+    elif isinstance(value, list):
+        for index, item in enumerate(value):
+            _require_finite(item, f"{path}[{index}]")
+
+
 def dispatch(argv: Sequence[str]) -> RunReport:
-    """Parse, execute and report one subcommand; raises UsageError/CatalogError."""
+    """Parse, execute and report one subcommand; raises UsageError/CatalogError.
+
+    A report whose result or checks hold Infinity or NaN raises
+    :class:`NonFiniteReport` instead of being returned.
+    """
     args = build_parser().parse_args(list(argv))
     seed = _seed()
     action = args.action
@@ -570,13 +594,16 @@ def dispatch(argv: Sequence[str]) -> RunReport:
         for key, value in vars(args).items()
         if key not in ("group", "action", "json") and value is not None
     }
-    return RunReport(
+    report = RunReport(
         command=f"{args.group} {action}",
         parameters=to_jsonable(parameters),
         result=to_jsonable(result),
         checks=checks,
         seed=seed,
     )
+    _require_finite(report.result, "result")
+    _require_finite(to_jsonable(checks), "checks")
+    return report
 
 
 def _print_human(report: RunReport) -> None:

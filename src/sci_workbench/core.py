@@ -2,11 +2,17 @@
 
 The model: an input is a finite symbolic description that carries both an
 exact reference oracle (used by the target map and by verification) and a
-query interface.  Algorithm protocols never see the input itself; they are
-generators that yield queries and receive only the answers.  That makes the
-locality law of general algorithms hold by construction, and
-:func:`check_locality` exists as a regression guard against protocols that
-smuggle input identity some other way.
+query interface.  Algorithms never see the input itself, only the answers
+to their queries.  That makes the locality law of general algorithms hold
+by construction, and :func:`check_locality` exists as a regression guard
+against protocols that smuggle input identity some other way.
+
+:func:`run_algorithm` runs an algorithm in one of two ways.  A non-adaptive
+algorithm (a fixed query list and a finish map, see
+:func:`fixed_query_algorithm`) is answered in one pass over its ids, then
+finished once.  An adaptive algorithm is a generator that yields queries and
+receives each answer before choosing the next one; it is stepped one query
+at a time.  Both give the same output and trace.
 
 Limits are never computed.  Towers are evaluated at finite multi-indices,
 and :func:`probe_convergence` reports finite-stage stabilization instead.
@@ -42,12 +48,17 @@ class Ask:
     query_id: QueryId
 
 
-@dataclass(frozen=True)
 class Query:
     """A single evaluation map, resolved from a family by its id."""
 
-    id: QueryId
-    evaluate: Callable[[Any], Any]
+    __slots__ = ("id", "evaluate")
+
+    def __init__(self, id: QueryId, evaluate: Callable[[Any], Any]):
+        self.id = id
+        self.evaluate = evaluate
+
+    def __repr__(self) -> str:
+        return f"Query({self.id!r})"
 
 
 class QueryFamily:
@@ -190,21 +201,53 @@ class QueryTrace:
 
 @dataclass(frozen=True)
 class GeneralAlgorithm:
-    """An adaptive protocol that reads its input only through queries.
+    """A protocol that reads its input only through queries.
 
     ``protocol`` is a zero-argument generator function: each run yields
     :class:`Ask` steps, receives each answer through ``send``, and returns
     the output.  Because the input is never passed in, two inputs with
     identical answer sequences are indistinguishable to the protocol.
+
+    A non-adaptive algorithm also carries its fixed ``query_ids`` and the
+    ``finish`` map from their answers to the output; :func:`run_algorithm`
+    then answers the ids in one batch and never steps ``protocol``, which is
+    derived from the two when not given.  ``query_ids`` is ``None`` for an
+    adaptive protocol.
     """
 
     name: str
-    protocol: Callable[[], Generator[Ask, Any, Any]]
+    protocol: Callable[[], Generator[Ask, Any, Any]] | None = None
     budget: int = DEFAULT_BUDGET
+    query_ids: tuple[QueryId, ...] | None = None
+    finish: Callable[[tuple], Any] | None = None
 
     def __post_init__(self):
         if self.budget < 1:
             raise ValueError("budget must be a positive integer")
+        if self.query_ids is None:
+            if self.protocol is None:
+                raise ValueError(f"{self.name} needs a protocol or a fixed query list")
+            return
+        ids = tuple(self.query_ids)
+        if not ids:
+            raise ValueError("a general algorithm must ask at least one query")
+        if self.finish is None:
+            raise ValueError(f"{self.name} has a fixed query list but no finish map")
+        object.__setattr__(self, "query_ids", ids)
+        if self.protocol is None:
+            object.__setattr__(self, "protocol", _ask_in_order(ids, self.finish))
+
+
+def _ask_in_order(ids: tuple[QueryId, ...], finish: Callable[[tuple], Any]):
+    """The generator protocol of a fixed query list, for callers that step it."""
+
+    def protocol():
+        answers = []
+        for qid in ids:
+            answers.append((yield Ask(qid)))
+        return finish(tuple(answers))
+
+    return protocol
 
 
 def check_budget(name: str, queries: int) -> None:
@@ -221,18 +264,8 @@ def fixed_query_algorithm(
     finish: Callable[[tuple], Any],
     budget: int = DEFAULT_BUDGET,
 ) -> GeneralAlgorithm:
-    """Protocol that asks ``query_ids`` in order, then outputs ``finish(answers)``."""
-    ids = tuple(query_ids)
-    if not ids:
-        raise ValueError("a general algorithm must ask at least one query")
-
-    def protocol():
-        answers = []
-        for qid in ids:
-            answers.append((yield Ask(qid)))
-        return finish(tuple(answers))
-
-    return GeneralAlgorithm(name, protocol, budget)
+    """Non-adaptive algorithm that asks ``query_ids`` in order, then outputs ``finish(answers)``."""
+    return GeneralAlgorithm(name, budget=budget, query_ids=query_ids, finish=finish)
 
 
 def constant_algorithm(name: str, query_id: QueryId, value) -> GeneralAlgorithm:
@@ -243,13 +276,27 @@ def constant_algorithm(name: str, query_id: QueryId, value) -> GeneralAlgorithm:
 def run_algorithm(alg: GeneralAlgorithm, problem: Problem, input) -> tuple[Any, QueryTrace]:
     """Drive ``alg`` against ``problem``'s query oracle on ``input``.
 
-    Starts a fresh run of the protocol generator, answers each yielded
-    :class:`Ask` from the oracle, and returns the generator's return value
-    with the exact ordered trace.  Pure in (protocol, input): repeated runs
-    are bit-identical.
+    A non-adaptive algorithm is refused before any query is resolved when
+    its ids exceed the budget; otherwise its ids are resolved and answered
+    in order in one pass and ``finish`` runs once on the answers.  An
+    adaptive protocol is driven step by step: each yielded :class:`Ask` is
+    answered from the oracle and sent back.  Either way the result is the
+    output with the exact ordered trace, and repeated runs are bit-identical.
     """
     if not problem.inputs.admits(input):
         raise ValueError(f"input {input!r} is not admissible for {problem.name}")
+    ids = alg.query_ids
+    if ids is None:
+        return _drive(alg, problem, input)
+    if len(ids) > alg.budget:
+        raise BudgetExceeded(f"{alg.name} exceeded its budget of {alg.budget} queries")
+    resolve = problem.queries.resolve
+    values = tuple([resolve(qid).evaluate(input) for qid in ids])
+    return alg.finish(values), QueryTrace(tuple(zip(ids, values)))
+
+
+def _drive(alg: GeneralAlgorithm, problem: Problem, input) -> tuple[Any, QueryTrace]:
+    """Step an adaptive protocol generator, answering each :class:`Ask` from the oracle."""
     run = alg.protocol()
     steps: list[tuple[QueryId, Any]] = []
     value = None

@@ -99,3 +99,7 @@ class CatalogError(WorkbenchError):
 
 class UsageError(WorkbenchError):
     """Command line arguments that do not match the documented grammar."""
+
+
+class NonFiniteReport(WorkbenchError):
+    """A run report holding Infinity or NaN, which strict JSON cannot encode."""

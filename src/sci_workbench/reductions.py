@@ -119,6 +119,21 @@ class Reduction:
     plan: QueryPlan
 
 
+def _blockwise(entries) -> Callable[[tuple], tuple]:
+    """Map the concatenated block answers of ``entries`` to one combined value per entry."""
+    spans = []
+    lo = 0
+    for entry in entries:
+        hi = lo + len(entry.source_ids)
+        spans.append((entry.combine, lo, hi))
+        lo = hi
+
+    def split(values: tuple) -> tuple:
+        return tuple([combine(values[lo:hi]) for combine, lo, hi in spans])
+
+    return split
+
+
 def _take_first(values: tuple):
     """Combiner of a width-1 plan entry that relays its source answer unchanged."""
     return values[0]
@@ -178,15 +193,9 @@ def compose(first: Reduction, second: Reduction) -> Reduction:
                 return None
             blocks.append(inner)
         source_ids = tuple(sid for block in blocks for sid in block.source_ids)
-        widths = tuple(block.width for block in blocks)
 
-        def combine(values: tuple, _blocks=tuple(blocks), _widths=widths, _outer=outer):
-            position = 0
-            middles = []
-            for block, width in zip(_blocks, _widths):
-                middles.append(block.combine(values[position : position + width]))
-                position += width
-            return _outer.combine(tuple(middles))
+        def combine(values: tuple, _split=_blockwise(blocks), _outer=outer.combine):
+            return _outer(_split(values))
 
         return PlanEntry(source_ids, combine)
 
@@ -312,15 +321,33 @@ def verify_reduction(
 def pullback_algorithm(reduction: Reduction, algorithm: GeneralAlgorithm) -> GeneralAlgorithm:
     """Simulate a target-problem algorithm on the source through the query plan.
 
-    Whenever the target protocol asks a query f, the pulled-back protocol
-    asks the plan's source block for f, sends the combined answer back into
-    the target protocol, and finally returns the decoded target output.
-    Each target query expands its plan entry exactly once.  The source trace
-    is the concatenation of the blocks, so it stays a pure function of the
-    source answers and locality is preserved.
+    Each target query f is answered by the plan's source block for f and the
+    block's combiner; the output is the decoded target output.  The source
+    trace is the concatenation of the blocks, so it stays a pure function of
+    the source answers and locality is preserved.
+
+    A non-adaptive algorithm pulls back to a non-adaptive one: every plan
+    entry is expanded once, here (so a :class:`PlanGap` is raised here), the
+    source ids are the concatenated blocks and the finish is
+    ``decode(inner_finish(per-block combines))``.  An adaptive protocol is
+    simulated step by step, expanding each target query's entry once when
+    it is asked.
     """
     plan = reduction.plan
     decode = reduction.decoder.map
+    name = f"pullback[{algorithm.name}|{reduction.name}]"
+    budget = max(algorithm.budget, DEFAULT_BUDGET)
+
+    if algorithm.query_ids is not None:
+        entries = [plan.entry(qid) for qid in algorithm.query_ids]
+        split = _blockwise(entries)
+        inner_finish = algorithm.finish
+
+        def finish(values: tuple):
+            return decode(inner_finish(split(values)))
+
+        ids = tuple(sid for entry in entries for sid in entry.source_ids)
+        return GeneralAlgorithm(name, budget=budget, query_ids=ids, finish=finish)
 
     def protocol():
         inner = algorithm.protocol()
@@ -339,11 +366,7 @@ def pullback_algorithm(reduction: Reduction, algorithm: GeneralAlgorithm) -> Gen
                 block.append((yield Ask(source_id)))
             answer = entry.combine(tuple(block))
 
-    return GeneralAlgorithm(
-        name=f"pullback[{algorithm.name}|{reduction.name}]",
-        protocol=protocol,
-        budget=max(algorithm.budget, DEFAULT_BUDGET),
-    )
+    return GeneralAlgorithm(name, protocol, budget)
 
 
 def pullback_tower(reduction: Reduction, tower: Tower) -> Tower:

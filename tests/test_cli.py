@@ -1,4 +1,5 @@
 import json
+import math
 import re
 import shlex
 from pathlib import Path
@@ -23,7 +24,7 @@ from sci_workbench.cli import (
     parse_function_spec,
     to_jsonable,
 )
-from sci_workbench.errors import CatalogError, UsageError
+from sci_workbench.errors import CatalogError, NonFiniteReport, UsageError
 from sci_workbench.reductions import verify_reduction
 
 
@@ -161,7 +162,10 @@ FLOATS = st.floats(allow_nan=False, allow_infinity=False)
 ORDERED = st.tuples(FRACTIONS, FRACTIONS).filter(lambda p: p[0] != p[1]).map(sorted)
 FUNCTIONS = st.one_of(
     st.lists(FRACTIONS, min_size=0, max_size=5).map(lambda cs: ig.Polynomial(tuple(cs))),
-    st.builds(ig.Sine, FLOATS, FLOATS.filter(bool)),
+    # a Sine exists only where its Lipschitz bound amplitude * frequency is finite
+    st.tuples(FLOATS, FLOATS.filter(bool))
+    .filter(lambda p: math.isfinite(p[0] * p[1]))
+    .map(lambda p: ig.Sine(*p)),
     ORDERED.map(lambda p: ig.Bump(*p)),
 )
 DIAGONALS = st.one_of(
@@ -190,6 +194,56 @@ def test_non_finite_or_zero_frequency_sine_exits_2(spec, capsys):
     captured = capsys.readouterr()
     assert captured.err.startswith("usage error: bad function spec") and "Traceback" not in captured.err
     assert captured.out == ""
+
+
+def test_sine_with_overflowing_lipschitz_bound_exits_2(capsys):
+    argv = ["--json", "integrate", "tower", "--interval", "0", "1", "--function",
+            "sine:1e308,1e308", "--n", "4"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("usage error: bad function spec") and "Traceback" not in captured.err
+    assert captured.out == ""
+
+
+def test_non_finite_report_exits_2(capsys):
+    # a finite Lipschitz bound, but the stage sum of four values near 1.7e308 overflows
+    argv = ["--json", "integrate", "tower", "--interval", "0", "1", "--function",
+            "sine:1.7e308,1", "--n", "4"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: NonFiniteReport: result.") and "Traceback" not in captured.err
+    assert captured.out == ""
+    with pytest.raises(NonFiniteReport):
+        dispatch(argv[1:])
+
+
+def test_tiny_frequency_sine_passes_its_error_bound():
+    report = dispatch(["integrate", "tower", "--interval", "0", "1", "--function", "sine:1,1e-9",
+                       "--n", "4"])
+    assert report.passed
+    assert report.result["exact"] == pytest.approx(5e-10, rel=1e-12)
+
+
+NEGATIVE_LEFT = {
+    "integrate-tower": ["integrate", "tower", "--interval", "{a}", "1", "--function", "poly:0,1",
+                        "--n", "8"],
+    "integrate-reduce": ["integrate", "reduce", "--interval", "{a}", "1", "--samples", "20"],
+    "reduce-pullback": ["reduce", "pullback", "--interval", "{a}", "1", "--n", "8"],
+}
+
+
+@pytest.mark.parametrize("argv", NEGATIVE_LEFT.values(), ids=NEGATIVE_LEFT.keys())
+def test_negative_left_endpoint_is_a_value(argv, capsys):
+    plain = [arg.replace("{a}", "-3/2") for arg in argv]
+    spaced = [arg.replace("{a}", " -3/2") for arg in argv]
+    assert main(["--json", *plain]) == 0
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err
+    report = json.loads(captured.out)
+    assert report["parameters"]["interval"] == ["-3/2", "1"]
+    expected = dispatch(spaced)
+    assert report["result"] == expected.result
+    assert report["checks"] == to_jsonable(expected.checks)
 
 
 @pytest.mark.parametrize("fields", [(float("inf"), 1.0), (1.0, float("nan")), (1.0, 0.0)])

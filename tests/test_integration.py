@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -68,6 +69,45 @@ class TestRectangleTower:
         tower.stage((DEFAULT_BUDGET,))  # the budget itself is allowed
         ig.grid_nodes(ig.interval(0, 1), DEFAULT_BUDGET)
         assert built == [DEFAULT_BUDGET, DEFAULT_BUDGET]
+
+    def test_grid_cache_is_bounded_by_total_ids(self):
+        cache = ig._grid_ids
+        cache.cache_clear()
+        try:
+            tower = ig.rectangle_tower(ig.interval(0, 1))
+            for n in range(4000, 4040):  # 40 distinct stages, about 161k ids in all
+                tower.stage((n,))
+                assert cache.items <= ig.GRID_CACHE_IDS
+            kept = cache.cache_info().currsize
+            assert 0 < kept < 40
+            big = tower.stage((10**5,))
+            assert len(big.query_ids) == 10**5
+            info = cache.cache_info()
+            assert cache.items <= ig.GRID_CACHE_IDS and info.maxsize == ig.GRID_CACHE_ENTRIES
+            assert (info.hits, info.misses) == (0, 41)
+            again = tower.stage((4039,))  # the most recent stage that fits is kept
+            assert cache.cache_info().hits == 1 and len(again.query_ids) == 4039
+        finally:
+            cache.cache_clear()
+        assert cache.items == 0 and cache.cache_info() == (0, 0, ig.GRID_CACHE_ENTRIES, 0)
+
+    def test_grid_cache_evicts_least_recent_by_total_length_and_count(self):
+        calls = []
+        cache = ig._SizeBoundedCache(lambda n: calls.append(n) or tuple(range(n)), 100, 10)
+        assert cache(11) == tuple(range(11))  # longer than the bound: never kept
+        assert cache.items == 0 and cache.cache_info().currsize == 0
+        cache(4), cache(5), cache(4)  # 9 items; 4 is now the most recent
+        cache(3)  # 12 items: evicts 5, the least recently used
+        assert cache.items == 7 and cache.cache_info().currsize == 2
+        cache(4)
+        cache(5)
+        assert calls == [11, 4, 5, 3, 5]
+
+        counted = ig._SizeBoundedCache(lambda n: calls.append(n) or tuple(range(n)), 2, 100)
+        counted(1), counted(2), counted(1), counted(3)  # a third entry evicts 2
+        assert counted.cache_info().currsize == 2 and counted.items == 4
+        counted(2)
+        assert calls[5:] == [1, 2, 3, 2]
 
     def test_error_bound_brute_force(self):
         # the derived bound, checked against exact integrals on a dense stage sweep
@@ -192,3 +232,32 @@ class TestClassifyInterval:
             upper_bounds[member.name] = ct.tower_upper_bound(member.name, ig.rectangle_tower(iv))
         _, verdict = ct.sufficiency_package(source_cert, reductions, upper_bounds)
         assert verdict.flags() == (True, True, True)
+
+
+class TestSine:
+    @pytest.mark.parametrize("frequency", [1e-9, 1e-12, 1e-200])
+    @pytest.mark.parametrize("a, b", [(0, 1), (-1, 3), ("1/2", "5/2")])
+    def test_integral_matches_taylor_value_for_tiny_frequency(self, frequency, a, b):
+        a, b = Fraction(a), Fraction(b)
+        taylor = 2.0 * frequency * float(b * b - a * a) / 2
+        assert ig.Sine(2.0, frequency).integral(a, b) == pytest.approx(taylor, rel=1e-12)
+
+    @pytest.mark.parametrize("frequency", [0.5, 1.0, 2.0, 3.0])
+    @pytest.mark.parametrize("amplitude", [0.5, 1.0, 2.0])
+    @pytest.mark.parametrize("a, b", [(0, 1), (0, 2), (-1, 3), ("1/2", "5/2")])
+    def test_integral_agrees_with_cosine_difference(self, amplitude, frequency, a, b):
+        a, b = Fraction(a), Fraction(b)
+        cosines = amplitude * (math.cos(frequency * float(a)) - math.cos(frequency * float(b))) / frequency
+        # the cosine difference is itself only accurate to rounding at its terms' scale
+        scale = math.ulp(amplitude / frequency)
+        assert abs(ig.Sine(amplitude, frequency).integral(a, b) - cosines) <= 4 * scale
+
+    @pytest.mark.parametrize("fields", [(1e308, 1e308), (-1e200, 1e200), (1e300, -1e10)])
+    def test_infinite_lipschitz_bound_refused(self, fields):
+        with pytest.raises(ValueError, match="Lipschitz"):
+            ig.Sine(*fields)
+
+    def test_largest_finite_lipschitz_bound_accepted(self):
+        f = ig.Sine(1.7e308, 1.0)
+        assert math.isfinite(f.lipschitz(0, 1))
+
