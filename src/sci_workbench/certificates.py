@@ -98,11 +98,16 @@ def tower_upper_bound(problem_id: str, tower: Tower) -> HeightCertificate:
 
 
 def merge_certificates(a: HeightCertificate, b: HeightCertificate) -> HeightCertificate:
-    """Intersect two certificates for the same problem; bounds only ever tighten."""
+    """Intersect two certificates for the same problem; bounds only ever tighten.
+
+    The provenance is the union of both, in first-seen order, so merging is
+    a meet: commutative and associative up to provenance order, and
+    idempotent.
+    """
     if a.problem_id != b.problem_id:
         raise ValueError("cannot merge certificates for different problems")
     interval = HeightInterval(max(a.interval.lb, b.interval.lb), min(a.interval.ub, b.interval.ub))
-    return HeightCertificate(a.problem_id, interval, a.provenance + b.provenance)
+    return HeightCertificate(a.problem_id, interval, tuple(dict.fromkeys(a.provenance + b.provenance)))
 
 
 @dataclass(frozen=True)

@@ -131,7 +131,7 @@ def _sigma_inf_many(matrix: KoopmanMatrix, zs: Iterable, weights: Sequence[Fract
     """
     n = matrix.size
     base, eye = matrix.as_array(), np.eye(n)
-    w = None if weights is None else np.sqrt(np.array([float(x) for x in weights]))
+    w = _root_weights(weights)
     per_chunk = max(1, _CHUNK_ENTRIES // (n * n))
     zs = iter(zs)
     while chunk := list(itertools.islice(zs, per_chunk)):
@@ -139,6 +139,11 @@ def _sigma_inf_many(matrix: KoopmanMatrix, zs: Iterable, weights: Sequence[Fract
         if w is not None:
             stack = (stack * w[:, None]) / w[None, :]
         yield chunk, np.linalg.svd(stack, compute_uv=False)[:, -1]
+
+
+def _root_weights(weights: Sequence[Fraction] | None):
+    """The diagonal of D = W^(1/2) in double precision, or None for unit weights."""
+    return None if weights is None else np.sqrt(np.array([float(x) for x in weights]))
 
 
 @dataclass(frozen=True)
@@ -264,11 +269,56 @@ class GridSpec:
             int((self.im_hi - self.im_lo) / self.spacing + 1e-9),
         )
 
-    def points(self):
+    def _axes(self) -> tuple[np.ndarray, np.ndarray]:
+        """Real parts ``re_lo + i*spacing`` and imaginary parts ``im_lo + j*spacing``.
+
+        One rounded multiply and one rounded add per coordinate, as Python
+        float arithmetic does it; grid point (i, j) is ``complex(re[i], im[j])``.
+        """
         n_re, n_im = self._steps()
-        for i in range(n_re + 1):
-            for j in range(n_im + 1):
-                yield complex(self.re_lo + i * self.spacing, self.im_lo + j * self.spacing)
+        return (
+            self.re_lo + np.arange(n_re + 1) * self.spacing,
+            self.im_lo + np.arange(n_im + 1) * self.spacing,
+        )
+
+    def points(self):
+        re, im = self._axes()
+        im = im.tolist()
+        for x in re.tolist():
+            for y in im:
+                yield complex(x, y)
+
+
+#: Index step between anchor rows (and anchor columns) of the pruned grid pass.
+_ANCHOR_STRIDE = 4
+#: The constant c of the SVD error bound delta = c*n*u*(||B~||_F + sqrt(n)*max|z|).
+_DELTA_C = 64
+_UNIT_ROUNDOFF = 2.0**-53
+#: Rounds a computed distance |z - z0| up past the rounding of dx, dy and hypot(dx, dy).
+_DISTANCE_PAD = 1 + 4 * _UNIT_ROUNDOFF
+
+
+def _axis_anchors(count: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Anchor indices of one grid axis, and per index its enclosing anchor pair.
+
+    The anchors are every ``_ANCHOR_STRIDE``-th index plus the last one; for
+    index i, ``lo[i]`` and ``hi[i]`` are the positions in that list of the
+    anchors at or below and at or above i (equal at the last anchor).
+    """
+    anchors = np.arange(0, count, _ANCHOR_STRIDE)
+    if anchors[-1] != count - 1:
+        anchors = np.append(anchors, count - 1)
+    lo = np.minimum(np.arange(count) // _ANCHOR_STRIDE, len(anchors) - 1)
+    return anchors, lo, np.minimum(lo + 1, len(anchors) - 1)
+
+
+def _svd_error_bound(matrix: KoopmanMatrix, weights: Sequence[Fraction] | None, z_max: float) -> float:
+    """delta = c*n*u*(||B~||_F + sqrt(n)*z_max), c = 64: a bound on the error of
+    the computed sigma_inf at every |z| <= z_max (see :func:`sigma_ap_eps`)."""
+    n = matrix.size
+    w = _root_weights(weights)
+    ratios = np.ones(n) if w is None else w / w[np.array(matrix.image()) - 1]
+    return _DELTA_C * n * _UNIT_ROUNDOFF * (float(np.linalg.norm(ratios)) + math.sqrt(n) * z_max)
 
 
 def sigma_ap_eps(
@@ -285,9 +335,32 @@ def sigma_ap_eps(
     spacing of the true set in Hausdorff distance; the spacing must not
     exceed eps/4 and the rectangle must cover the spectrum plus an eps
     margin.
+
+    The kept points are exactly those whose computed sigma_inf (the stacked
+    SVD of :func:`sigma_inf`) is <= eps, but most are decided without an SVD.
+    One stacked pass computes s0 at the anchors: the grid points whose row
+    and column indices are both multiples of 4, the last row and column
+    counting as anchor rows and columns.  Every point z is then checked
+    against the four anchors z0 of its cell: it is dropped if
+    s0 - |z - z0| - 2*delta > eps for one of them, kept if
+    s0 + |z - z0| + 2*delta <= eps for one of them, and otherwise its own
+    SVD decides, in a second stacked pass.  |z - z0| is rounded up by a
+    (1 + 4u) factor.
+
+    The rules are exact because the SVD input at z is a rounding of
+    B~ - zI, with B~ = D M D^-1 and D the double-precision square-root
+    weights, and sigma_min(B~ - zI) is 1-Lipschitz in z, weighted or not.
+    delta bounds the distance of the computed value from it:
+    delta = c*n*u*(||B~||_F + sqrt(n)*max|z|) over the grid, with u = 2^-53
+    and c = 64.  Forming the entries (one subtraction, multiply and divide
+    each) moves the matrix by at most 3u(||B~||_F + sqrt(n)|z|) in the
+    Frobenius norm, and the LAPACK SVD adds at most p(n)*u*||A||_2 (LAPACK
+    Users' Guide, section 4.9); c*n leaves room for p(n) up to 32n, for
+    the formation error and for the rounding of the two disk tests, whose
+    operands are at most a few times ||B~||_F + max|z|.
     """
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    if not (math.isfinite(eps) and eps > 0):
+        raise ValueError(f"eps must be a positive finite number, got {eps}")
     if grid.spacing > eps / 4:
         raise GridTooCoarse(f"spacing {grid.spacing} exceeds eps/4 = {eps / 4}")
     spectrum = sigma_ap(matrix, weights)
@@ -299,9 +372,35 @@ def sigma_ap_eps(
             and lam.imag + eps <= grid.im_hi
         ):
             raise GridTooCoarse(f"grid does not cover {lam} with an eps margin")
+    re, im = grid._axes()
+    row_anchors, row_lo, row_hi = _axis_anchors(len(re))
+    col_anchors, col_lo, col_hi = _axis_anchors(len(im))
+    anchor_im = im[col_anchors].tolist()
+    anchors = (complex(x, y) for x in re[row_anchors].tolist() for y in anchor_im)
+    s0 = np.concatenate([values for _, values in _sigma_inf_many(matrix, anchors, weights)])
+    s0 = s0.reshape(len(row_anchors), len(col_anchors))
+    slack = 2 * _svd_error_bound(matrix, weights, math.hypot(np.abs(re).max(), np.abs(im).max()))
+    col_offsets = [(c, im - im[col_anchors[c]]) for c in (col_lo, col_hi)]
+    rows = max(1, _CHUNK_ENTRIES // len(im))
     kept = []
-    for zs, values in _sigma_inf_many(matrix, grid.points(), weights):
-        kept.extend(itertools.compress(zs, values <= eps))
+    for start in range(0, len(re), rows):
+        x, lo, hi = re[start:start + rows], row_lo[start:start + rows], row_hi[start:start + rows]
+        keep = np.zeros((len(x), len(im)), dtype=bool)
+        drop = np.zeros_like(keep)
+        for r in (lo, hi):
+            dx = (x - re[row_anchors[r]])[:, None]
+            for c, dy in col_offsets:
+                s = s0[r[:, None], c]
+                reach = np.hypot(dx, dy) * _DISTANCE_PAD + slack
+                keep |= s + reach <= eps
+                drop |= s - reach > eps
+        i, j = np.nonzero(~(keep | drop))
+        if len(i):
+            open_points = map(complex, x[i].tolist(), im[j].tolist())
+            values = [v for _, v in _sigma_inf_many(matrix, open_points, weights)]
+            keep[i, j] = np.concatenate(values) <= eps
+        i, j = np.nonzero(keep)
+        kept.extend(map(complex, x[i].tolist(), im[j].tolist()))
     kept.extend(spectrum.points)
     kept.sort(key=lambda p: (p.real, p.imag))
     return CompactSetApprox(tuple(kept), resolution=grid.spacing)

@@ -2,6 +2,8 @@ import itertools
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sci_workbench import certificates as ct
 from sci_workbench import integration as ig
@@ -68,6 +70,62 @@ class TestClassifyFamily:
         )
         with pytest.raises(IndeterminateHeight):
             ct.classify_family(record, 1)
+
+
+@st.composite
+def certificates_around(draw, height):
+    """A certificate for problem "p" whose interval holds ``height``, with
+    provenance drawn from small pools so that merges meet repeats."""
+    lb = draw(st.integers(0, height))
+    ub = draw(st.sampled_from([ct.UNBOUNDED, *range(height, 6)]))
+    items = [st.builds(ct.RecordedFact, st.sampled_from("abc")),
+             st.builds(ct.TransferredLB, st.sampled_from(["r", "s"]), st.just("src"), st.integers(0, lb))]
+    if ub != ct.UNBOUNDED:
+        items.append(st.builds(ct.TowerWitness, st.sampled_from(["t", "u"]), st.integers(ub, 6)))
+    provenance = draw(st.lists(st.one_of(items), max_size=4, unique=True))
+    return ct.HeightCertificate("p", ct.HeightInterval(lb, ub), tuple(provenance))
+
+
+def triples_around_one_height():
+    return st.integers(0, 5).flatmap(lambda h: st.tuples(*[certificates_around(h)] * 3))
+
+
+class TestMergeIsAMeet:
+    def test_merging_a_certificate_with_itself_keeps_it(self):
+        cert = ct.exact_certificate("p", 2, "x")
+        assert ct.merge_certificates(cert, cert) == cert
+
+    @settings(max_examples=60, deadline=None)
+    @given(triples_around_one_height())
+    def test_meet_laws(self, triple):
+        a, b, c = triple
+        merge = ct.merge_certificates
+        ab = merge(a, b)
+        assert merge(a, a) == a
+        assert ab.interval == merge(b, a).interval
+        assert set(ab.provenance) == set(merge(b, a).provenance)
+        assert merge(ab, c) == merge(a, merge(b, c))
+        assert a.interval.lb <= ab.interval.lb and b.interval.lb <= ab.interval.lb
+        assert ab.interval.ub <= a.interval.ub and ab.interval.ub <= b.interval.ub
+        assert set(ab.provenance) == set(a.provenance) | set(b.provenance)
+        assert len(ab.provenance) == len(set(ab.provenance))
+
+
+class TestTrichotomyLaw:
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.integers(0, 6), min_size=1, max_size=12), st.integers(0, 6))
+    def test_pointwise_implies_witness_iff_worst_case(self, heights, k):
+        pointwise, witness, worst = ct.classify_family(record_of(*heights), k).flags()
+        assert witness == worst
+        assert not pointwise or witness
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(1, 6).flatmap(
+        lambda k: st.tuples(st.just(k), st.lists(st.integers(0, k - 1), min_size=1, max_size=8))))
+    def test_witness_without_pointwise_is_strict(self, case):
+        k, lower = case
+        verdict = ct.classify_family(record_of(k, *lower), k)
+        assert verdict.flags() == (False, True, True)
 
 
 @pytest.fixture

@@ -205,6 +205,15 @@ def test_sine_with_overflowing_lipschitz_bound_exits_2(capsys):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("eps", ["nan", "inf", "-inf"])
+def test_non_finite_epsilon_exits_2_by_name(eps, capsys):
+    argv = ["--json", "koopman", "finite", "--map", "2,3,1", "--target", "apeps", f"--epsilon={eps}"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("bad argument value: eps must be a positive finite number")
+    assert "Traceback" not in captured.err and captured.out == ""
+
+
 def test_non_finite_report_exits_2(capsys):
     # a finite Lipschitz bound, but the stage sum of four values near 1.7e308 overflows
     argv = ["--json", "integrate", "tower", "--interval", "0", "1", "--function",

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -115,6 +116,12 @@ class TestSigmaApEps:
         m = kp.koopman_matrix(kp.uniform_space(1), kp.MapTable((1,)))
         with pytest.raises(GridTooCoarse):
             kp.sigma_ap_eps(m, 0.5, kp.GridSpec(0.9, 1.1, -0.1, 0.1, 0.1))
+
+    @pytest.mark.parametrize("eps", [float("nan"), float("inf"), float("-inf"), 0.0, -0.5])
+    def test_non_positive_or_non_finite_eps_refused_by_name(self, eps):
+        m = kp.koopman_matrix(kp.uniform_space(3), kp.MapTable((2, 3, 1)))
+        with pytest.raises(ValueError, match="eps must be a positive finite number"):
+            kp.sigma_ap_eps(m, eps, kp.GridSpec(-1.5, 1.5, -1.5, 1.5, 0.02))
 
 
 class TestHausdorff:
@@ -247,6 +254,121 @@ class TestStackedSigmaInf:
         matrix = kp.koopman_matrix(space, kp.MapTable(tuple(image)))
         distance = min(abs(z - lam) for lam in kp.sigma_ap(matrix).points)
         assert abs(kp.sigma_inf(matrix, z, space.weights) - distance) <= 1e-12
+
+
+def literal_points(grid):
+    """Grid points in grid order, built as ``GridSpec.points`` documents them."""
+    n_re, n_im = grid._steps()
+    return [complex(grid.re_lo + i * grid.spacing, grid.im_lo + j * grid.spacing)
+            for i in range(n_re + 1) for j in range(n_im + 1)]
+
+
+def reference_ap_eps(matrix, eps, grid, weights, values=None):
+    """The kept set from one SVD per literal grid point."""
+    points = literal_points(grid)
+    if values is None:
+        values = [reference_sigma_inf(matrix, z, weights) for z in points]
+    kept = [z for z, v in zip(points, values) if v <= eps]
+    kept.extend(kp.sigma_ap(matrix, weights).points)
+    kept.sort(key=lambda p: (p.real, p.imag))
+    return tuple(kept)
+
+
+def is_anchor(index, count):
+    return index % kp._ANCHOR_STRIDE == 0 or index == count - 1
+
+
+class TestPrunedGrid:
+    @pytest.mark.parametrize("count", [1, 2, 4, 5, 9, 27, 43])
+    def test_anchors_bracket_every_index(self, count):
+        anchors, lo, hi = kp._axis_anchors(count)
+        assert anchors.tolist() == sorted({*range(0, count, kp._ANCHOR_STRIDE), count - 1})
+        for i in range(count):
+            assert anchors[lo[i]] <= i <= anchors[hi[i]]
+            assert anchors[hi[i]] - anchors[lo[i]] <= kp._ANCHOR_STRIDE
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        st.integers(-2**20, 2**20), st.integers(-2**20, 2**20),
+        st.integers(0, 40), st.integers(0, 40), st.sampled_from([0.25, 0.1, 0.02, 0.3]),
+    )
+    def test_points_follow_the_documented_formula(self, re0, im0, cols, rows, spacing):
+        grid = kp.GridSpec(re0 / 1024, re0 / 1024 + cols * spacing, im0 / 1024,
+                           im0 / 1024 + rows * spacing, spacing)
+        points = list(grid.points())
+        assert points == literal_points(grid)
+        assert all(type(z) is complex for z in points)
+
+    @settings(max_examples=20, deadline=None)
+    @given(koopman_cases(), st.sampled_from([1.0, 0.75]), st.floats(0, 0.5), st.floats(0, 0.5),
+           st.integers(0, 2**16), st.booleans())
+    def test_kept_set_equals_per_point_reference_at_the_boundary(
+        self, case, eps0, stretch_re, stretch_im, pick, ulp_below
+    ):
+        # the grid is valid for every eps in [eps0, 1.25*eps0]; eps is set to
+        # the computed value of one non-anchor grid point there, or one ulp below
+        matrix, weights = case
+        reach = 1 + eps0 + eps0 / 4
+        grid = kp.GridSpec(-reach, reach + stretch_re, -reach - stretch_im, reach, eps0 / 4)
+        n_re, n_im = grid._steps()
+        values = [reference_sigma_inf(matrix, z, weights) for z in literal_points(grid)]
+        inner = [v for k, v in enumerate(values)
+                 if eps0 < v <= 1.25 * eps0
+                 and not (is_anchor(k // (n_im + 1), n_re + 1) and is_anchor(k % (n_im + 1), n_im + 1))]
+        eps = inner[pick % len(inner)] if inner else eps0
+        if ulp_below and inner:
+            eps = math.nextafter(eps, 0)
+        approx = kp.sigma_ap_eps(matrix, eps, grid, weights)
+        assert approx.points == reference_ap_eps(matrix, eps, grid, weights, values)
+        assert all(type(z) is complex for z in approx.points)
+
+    @pytest.mark.parametrize("image,grid,eps", [
+        ((3, 5, 1, 2, 4), (-1.75, 1.625, -1.875, 1.625, 0.125), 0.5590169943749471),
+        ((3, 2, 4, 1), (-1.75, 1.625, -2.0, 1.625, 0.125), 0.6249999999999999),
+    ])
+    def test_lipschitz_tight_boundary_cases(self, image, grid, eps):
+        # a permutation has sigma_inf(z) = dist(z, spectrum), so along a ray from
+        # an eigenvalue the Lipschitz bound is tight and SVD rounding alone
+        # decides these points; disk rules without delta misplace one of them
+        matrix = kp.koopman_matrix(kp.uniform_space(len(image)), kp.MapTable(image))
+        grid = kp.GridSpec(*grid)
+        assert kp.sigma_ap_eps(matrix, eps, grid).points == reference_ap_eps(matrix, eps, grid, None)
+
+    @settings(max_examples=40, deadline=None)
+    @given(koopman_cases(), st.complex_numbers(max_magnitude=3, allow_nan=False, allow_infinity=False),
+           st.complex_numbers(max_magnitude=3, allow_nan=False, allow_infinity=False),
+           st.sampled_from([1.0, 1e-3, 1e-9]))
+    def test_computed_values_obey_the_pruning_bound(self, case, z, step, scale):
+        # |s(z) - s(z')| <= |z - z'| + 2*delta, the inequality both disk rules rest on
+        matrix, weights = case
+        z2 = z + step * scale
+        delta = kp._svd_error_bound(matrix, weights, max(abs(z), abs(z2)))
+        gap = abs(reference_sigma_inf(matrix, z, weights) - reference_sigma_inf(matrix, z2, weights))
+        assert gap <= abs(z - z2) * kp._DISTANCE_PAD + 2 * delta
+
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_most_points_are_settled_without_an_svd(self, weighted, monkeypatch):
+        # bench shape: N = 32, a map with tails, eps = 0.5 on a 27 x 27 grid;
+        # 24-29 % of the points get an SVD, 39-44 % when one anchor row or
+        # column of each cell is ignored, and all of them without pruning
+        rng = random.Random(32)
+        n, eps = 32, 0.5
+        image = tuple(rng.randint(1, n) for _ in range(n))
+        weights = tuple(Fraction(rng.randint(1, 8), rng.randint(1, 4)) for _ in range(n)) if weighted else None
+        matrix = kp.koopman_matrix(kp.uniform_space(n), kp.MapTable(image))
+        reach = 1 + eps + eps / 4
+        grid = kp.GridSpec(-reach, reach, -reach, reach, eps / 4)
+        expected = reference_ap_eps(matrix, eps, grid, weights)
+        stacks = []
+        svd = np.linalg.svd
+
+        def counted(stack, *args, **kwargs):
+            stacks.append(len(stack))
+            return svd(stack, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counted)
+        assert kp.sigma_ap_eps(matrix, eps, grid, weights).points == expected
+        assert 0 < sum(stacks) <= len(literal_points(grid)) // 3
 
 
 def random_points(rng, count):
