@@ -1,9 +1,9 @@
 """Workbench for exact-input computational problems.
 
 Problems expose their inputs only through query oracles; general algorithms
-either fix their query ids and a finish map in advance (answered in one
-batch) or are generator protocols that yield query ids, receive the answers
-and return their output; towers evaluate at finite stages.
+are generator protocols that ask their queries in rounds, receive each
+round's answers and return their output (a non-adaptive algorithm asks one
+round); towers evaluate at finite stages.
 Reductions transport algorithms and towers between problems, and the
 certificate layer turns verified transport plus recorded classifications
 into family-level exactness verdicts.

@@ -629,7 +629,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except WorkbenchError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:  # OverflowError: a rational out of double range
         print(f"bad argument value: {exc}", file=sys.stderr)
         return 2
     if "--json" in argv:

@@ -7,12 +7,11 @@ to their queries.  That makes the locality law of general algorithms hold
 by construction, and :func:`check_locality` exists as a regression guard
 against protocols that smuggle input identity some other way.
 
-:func:`run_algorithm` runs an algorithm in one of two ways.  A non-adaptive
-algorithm (a fixed query list and a finish map, see
-:func:`fixed_query_algorithm`) is answered in one pass over its ids, then
-finished once.  An adaptive algorithm is a generator that yields queries and
-receives each answer before choosing the next one; it is stepped one query
-at a time.  Both give the same output and trace.
+A protocol asks its queries in rounds: each :class:`Ask` names the ids of
+one round and receives their answers together.  A non-adaptive algorithm
+(see :func:`fixed_query_algorithm`) asks one round; an adaptive one chooses
+each later round from the answers to the earlier ones.
+:func:`run_algorithm` answers each round in one pass over its ids.
 
 Limits are never computed.  Towers are evaluated at finite multi-indices,
 and :func:`probe_convergence` reports finite-stage stabilization instead.
@@ -37,15 +36,18 @@ from .errors import (
 # how countably (or uncountably) indexed families stay addressable.
 QueryId = tuple
 
-#: Hard cap on adaptive protocols; guarantees every run terminates.
+#: Hard cap on the queries of one run; guarantees every run terminates.
 DEFAULT_BUDGET = 10**6
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Ask:
-    """Protocol step: emit a query id and wait for its value."""
+    """Protocol step: one round of query ids; ``send`` returns their answers as a tuple."""
 
-    query_id: QueryId
+    query_ids: tuple[QueryId, ...]
+
+    def __init__(self, *query_ids: QueryId):
+        object.__setattr__(self, "query_ids", query_ids)
 
 
 class Query:
@@ -204,50 +206,18 @@ class GeneralAlgorithm:
     """A protocol that reads its input only through queries.
 
     ``protocol`` is a zero-argument generator function: each run yields
-    :class:`Ask` steps, receives each answer through ``send``, and returns
-    the output.  Because the input is never passed in, two inputs with
-    identical answer sequences are indistinguishable to the protocol.
-
-    A non-adaptive algorithm also carries its fixed ``query_ids`` and the
-    ``finish`` map from their answers to the output; :func:`run_algorithm`
-    then answers the ids in one batch and never steps ``protocol``, which is
-    derived from the two when not given.  ``query_ids`` is ``None`` for an
-    adaptive protocol.
+    :class:`Ask` rounds, receives each round's answers through ``send``, and
+    returns the output.  Because the input is never passed in, two inputs
+    with identical answer sequences are indistinguishable to the protocol.
     """
 
     name: str
-    protocol: Callable[[], Generator[Ask, Any, Any]] | None = None
+    protocol: Callable[[], Generator[Ask, tuple, Any]]
     budget: int = DEFAULT_BUDGET
-    query_ids: tuple[QueryId, ...] | None = None
-    finish: Callable[[tuple], Any] | None = None
 
     def __post_init__(self):
         if self.budget < 1:
             raise ValueError("budget must be a positive integer")
-        if self.query_ids is None:
-            if self.protocol is None:
-                raise ValueError(f"{self.name} needs a protocol or a fixed query list")
-            return
-        ids = tuple(self.query_ids)
-        if not ids:
-            raise ValueError("a general algorithm must ask at least one query")
-        if self.finish is None:
-            raise ValueError(f"{self.name} has a fixed query list but no finish map")
-        object.__setattr__(self, "query_ids", ids)
-        if self.protocol is None:
-            object.__setattr__(self, "protocol", _ask_in_order(ids, self.finish))
-
-
-def _ask_in_order(ids: tuple[QueryId, ...], finish: Callable[[tuple], Any]):
-    """The generator protocol of a fixed query list, for callers that step it."""
-
-    def protocol():
-        answers = []
-        for qid in ids:
-            answers.append((yield Ask(qid)))
-        return finish(tuple(answers))
-
-    return protocol
 
 
 def check_budget(name: str, queries: int) -> None:
@@ -264,8 +234,15 @@ def fixed_query_algorithm(
     finish: Callable[[tuple], Any],
     budget: int = DEFAULT_BUDGET,
 ) -> GeneralAlgorithm:
-    """Non-adaptive algorithm that asks ``query_ids`` in order, then outputs ``finish(answers)``."""
-    return GeneralAlgorithm(name, budget=budget, query_ids=query_ids, finish=finish)
+    """Non-adaptive algorithm: one round asking ``query_ids``, then ``finish(answers)``."""
+    ask = Ask(*query_ids)
+    if not ask.query_ids:
+        raise ValueError("a general algorithm must ask at least one query")
+
+    def protocol():
+        return finish((yield ask))
+
+    return GeneralAlgorithm(name, protocol, budget)
 
 
 def constant_algorithm(name: str, query_id: QueryId, value) -> GeneralAlgorithm:
@@ -274,47 +251,37 @@ def constant_algorithm(name: str, query_id: QueryId, value) -> GeneralAlgorithm:
 
 
 def run_algorithm(alg: GeneralAlgorithm, problem: Problem, input) -> tuple[Any, QueryTrace]:
-    """Drive ``alg`` against ``problem``'s query oracle on ``input``.
+    """Drive ``alg`` against ``problem``'s query oracle on ``input``, round by round.
 
-    A non-adaptive algorithm is refused before any query is resolved when
-    its ids exceed the budget; otherwise its ids are resolved and answered
-    in order in one pass and ``finish`` runs once on the answers.  An
-    adaptive protocol is driven step by step: each yielded :class:`Ask` is
-    answered from the oracle and sent back.  Either way the result is the
+    Each yielded :class:`Ask` must name at least one id.  A round that would
+    take the run over its budget is refused before any of its ids is
+    resolved; otherwise its ids are resolved and answered in order in one
+    pass and the answers are sent back as one tuple.  The result is the
     output with the exact ordered trace, and repeated runs are bit-identical.
     """
     if not problem.inputs.admits(input):
         raise ValueError(f"input {input!r} is not admissible for {problem.name}")
-    ids = alg.query_ids
-    if ids is None:
-        return _drive(alg, problem, input)
-    if len(ids) > alg.budget:
-        raise BudgetExceeded(f"{alg.name} exceeded its budget of {alg.budget} queries")
     resolve = problem.queries.resolve
-    values = tuple([resolve(qid).evaluate(input) for qid in ids])
-    return alg.finish(values), QueryTrace(tuple(zip(ids, values)))
-
-
-def _drive(alg: GeneralAlgorithm, problem: Problem, input) -> tuple[Any, QueryTrace]:
-    """Step an adaptive protocol generator, answering each :class:`Ask` from the oracle."""
     run = alg.protocol()
-    steps: list[tuple[QueryId, Any]] = []
-    value = None
+    ids: list[QueryId] = []
+    values: list = []
+    answers = None
     while True:
         try:
-            step = run.send(value)
+            step = run.send(answers)
         except StopIteration as done:
-            if not steps:
+            if not ids:
                 raise ProtocolViolation(
                     f"{alg.name} finished without querying; completed runs need a nonempty query set"
                 ) from None
-            return done.value, QueryTrace(tuple(steps))
-        if not isinstance(step, Ask):
-            raise ProtocolViolation(f"{alg.name} emitted {step!r}, expected Ask")
-        if len(steps) >= alg.budget:
+            return done.value, QueryTrace(tuple(zip(ids, values)))
+        if not isinstance(step, Ask) or not step.query_ids:
+            raise ProtocolViolation(f"{alg.name} emitted {step!r}, expected a nonempty Ask")
+        if len(ids) + len(step.query_ids) > alg.budget:
             raise BudgetExceeded(f"{alg.name} exceeded its budget of {alg.budget} queries")
-        value = problem.queries.resolve(step.query_id).evaluate(input)
-        steps.append((step.query_id, value))
+        answers = tuple([resolve(qid).evaluate(input) for qid in step.query_ids])
+        ids += step.query_ids
+        values += answers
 
 
 @dataclass(frozen=True)
@@ -489,7 +456,11 @@ class ConsistencyReport:
         return not self.failures
 
 
-def check_consistency(problem: Problem, *, max_candidates: int = 4096) -> ConsistencyReport:
+#: Separator candidates tried per target-distinct pair by :func:`check_consistency`.
+CONSISTENCY_CANDIDATES = 4096
+
+
+def check_consistency(problem: Problem) -> ConsistencyReport:
     """Check that some catalog-accessible query separates every target-distinct pair."""
     distance = problem.output_space.distance
     members = problem.inputs.members
@@ -499,7 +470,7 @@ def check_consistency(problem: Problem, *, max_candidates: int = 4096) -> Consis
         if distance(problem.target(a), problem.target(b)) == 0:
             continue
         checked += 1
-        for qid in itertools.islice(problem.queries.separator_ids(a, b), max_candidates):
+        for qid in itertools.islice(problem.queries.separator_ids(a, b), CONSISTENCY_CANDIDATES):
             query = problem.queries.resolve(qid)
             if query.evaluate(a) != query.evaluate(b):
                 break

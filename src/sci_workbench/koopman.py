@@ -29,6 +29,7 @@ from .core import (
     Problem,
     QueryFamily,
     Tower,
+    check_budget,
     fixed_query_algorithm,
 )
 from .errors import BadGrid, EmptySet, GridTooCoarse
@@ -103,9 +104,11 @@ class KoopmanMatrix:
 
 
 def koopman_matrix(space: FiniteSpace, table: MapTable) -> KoopmanMatrix:
+    """The N x N matrix of K_F; more than ``DEFAULT_BUDGET`` entries raise :class:`BudgetExceeded` first."""
     if table.size != space.size:
         raise ValueError("map table size differs from space size")
     n = space.size
+    check_budget(f"koopman-matrix[N={n}]", n * n)
     rows = tuple(
         tuple(1 if j == table(i) else 0 for j in range(1, n + 1)) for i in range(1, n + 1)
     )

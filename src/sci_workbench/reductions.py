@@ -321,52 +321,34 @@ def verify_reduction(
 def pullback_algorithm(reduction: Reduction, algorithm: GeneralAlgorithm) -> GeneralAlgorithm:
     """Simulate a target-problem algorithm on the source through the query plan.
 
-    Each target query f is answered by the plan's source block for f and the
-    block's combiner; the output is the decoded target output.  The source
-    trace is the concatenation of the blocks, so it stays a pure function of
-    the source answers and locality is preserved.
-
-    A non-adaptive algorithm pulls back to a non-adaptive one: every plan
-    entry is expanded once, here (so a :class:`PlanGap` is raised here), the
-    source ids are the concatenated blocks and the finish is
-    ``decode(inner_finish(per-block combines))``.  An adaptive protocol is
-    simulated step by step, expanding each target query's entry once when
-    it is asked.
+    Each round of target queries becomes one round of source queries: the
+    plan entry of every target id is expanded once, the round asks the
+    concatenated blocks, and each block's combiner answers its target query.
+    The output is the decoded target output.  The source trace is the
+    concatenation of the blocks, so it stays a pure function of the source
+    answers and locality is preserved.  A :class:`PlanGap` is raised when
+    its round is asked.
     """
     plan = reduction.plan
     decode = reduction.decoder.map
-    name = f"pullback[{algorithm.name}|{reduction.name}]"
-    budget = max(algorithm.budget, DEFAULT_BUDGET)
-
-    if algorithm.query_ids is not None:
-        entries = [plan.entry(qid) for qid in algorithm.query_ids]
-        split = _blockwise(entries)
-        inner_finish = algorithm.finish
-
-        def finish(values: tuple):
-            return decode(inner_finish(split(values)))
-
-        ids = tuple(sid for entry in entries for sid in entry.source_ids)
-        return GeneralAlgorithm(name, budget=budget, query_ids=ids, finish=finish)
 
     def protocol():
         inner = algorithm.protocol()
-        answer = None
+        answers = None
         while True:
             try:
-                step = inner.send(answer)
+                step = inner.send(answers)
             except StopIteration as done:
                 return decode(done.value)
             if not isinstance(step, Ask):
-                answer = yield step  # passed through; run_algorithm rejects it
+                answers = yield step  # passed through; run_algorithm rejects it
                 continue
-            entry = plan.entry(step.query_id)
-            block = []
-            for source_id in entry.source_ids:
-                block.append((yield Ask(source_id)))
-            answer = entry.combine(tuple(block))
+            entries = [plan.entry(qid) for qid in step.query_ids]
+            source_ids = [sid for entry in entries for sid in entry.source_ids]
+            answers = _blockwise(entries)((yield Ask(*source_ids)))
 
-    return GeneralAlgorithm(name, protocol, budget)
+    name = f"pullback[{algorithm.name}|{reduction.name}]"
+    return GeneralAlgorithm(name, protocol, max(algorithm.budget, DEFAULT_BUDGET))
 
 
 def pullback_tower(reduction: Reduction, tower: Tower) -> Tower:

@@ -106,9 +106,9 @@ def _fixed_probe_protocols():
         # branches on its first answer, so the emitted set is input-dependent
         from sci_workbench.core import Ask
 
-        first = yield Ask(("ev", Fraction(1, 2)))
+        (first,) = yield Ask(("ev", Fraction(1, 2)))
         probe = Fraction(1, 4) if first == 0 else Fraction(3, 4)
-        second = yield Ask(("ev", probe))
+        (second,) = yield Ask(("ev", probe))
         return first + second
 
     from sci_workbench.core import GeneralAlgorithm

@@ -1,8 +1,8 @@
-"""The two ways run_algorithm runs an algorithm, and pullbacks run both ways.
+"""Rounds: run_algorithm answers each round of queries in one batch.
 
-A non-adaptive algorithm (fixed query ids plus a finish map) is answered in
-one batch; its generator ``protocol`` is what the step-by-step path runs.
-Every shipped tower is run both ways here, and so are its pullbacks.
+Every shipped stage asks one round.  Each is run as it is and with every
+round split into one-query rounds (an adaptive protocol asking the same
+ids); both must agree, and so must their pullbacks.
 """
 
 from fractions import Fraction
@@ -26,7 +26,7 @@ from sci_workbench.core import (
     fixed_query_algorithm,
     run_algorithm,
 )
-from sci_workbench.errors import BudgetExceeded, PlanGap, UnknownQuery
+from sci_workbench.errors import BudgetExceeded, PlanGap, ProtocolViolation, UnknownQuery
 from sci_workbench.reductions import (
     Decoder,
     DecoderClass,
@@ -40,26 +40,37 @@ from sci_workbench.reductions import (
 )
 
 
-def stepped(alg: GeneralAlgorithm) -> GeneralAlgorithm:
-    """The same algorithm with only its generator protocol, so run_algorithm steps it."""
-    return GeneralAlgorithm(alg.name, alg.protocol, alg.budget)
+def one_at_a_time(alg: GeneralAlgorithm) -> GeneralAlgorithm:
+    """The same algorithm with each of its rounds asked as one-query rounds."""
+
+    def protocol():
+        run = alg.protocol()
+        answers = None
+        while True:
+            try:
+                step = run.send(answers)
+            except StopIteration as done:
+                return done.value
+            block = []
+            for qid in step.query_ids:
+                (value,) = yield Ask(qid)
+                block.append(value)
+            answers = tuple(block)
+
+    return GeneralAlgorithm(alg.name, protocol, alg.budget)
 
 
 def run_both(alg: GeneralAlgorithm, problem: Problem, input):
-    """Run ``alg`` in one batch and step by step; both must agree."""
-    assert alg.query_ids is not None
+    """Run ``alg`` in its own rounds and one query per round; both must agree."""
     batch = run_algorithm(alg, problem, input)
-    assert run_algorithm(stepped(alg), problem, input) == batch
+    assert run_algorithm(one_at_a_time(alg), problem, input) == batch
     return batch
 
 
 def run_pullback_all_ways(reduction: Reduction, alg: GeneralAlgorithm, input):
-    """Batch pullback, its stepped protocol, and the generator pullback of the stepped inner."""
-    pulled = pullback_algorithm(reduction, alg)
-    batch = run_both(pulled, reduction.source, input)
-    generator = pullback_algorithm(reduction, stepped(alg))
-    assert generator.query_ids is None
-    assert run_algorithm(generator, reduction.source, input) == batch
+    """The pullback run both ways, and the pullback of the one-query-per-round inner."""
+    batch = run_both(pullback_algorithm(reduction, alg), reduction.source, input)
+    assert run_algorithm(pullback_algorithm(reduction, one_at_a_time(alg)), reduction.source, input) == batch
     return batch
 
 
@@ -177,7 +188,7 @@ class TestPullbacksBothWays:
         assert trace.ids == (("v", 4), ("v", 5), ("v", 0), ("v", 1), ("v", 4), ("v", 5))
         assert trace.values == (5, 6, 1, 2, 5, 6)
 
-    def test_plan_entries_expand_once_when_built(self, chain):
+    def test_plan_entries_expand_once_per_run(self, chain):
         reduction = ig.affine_reduction(chain[1], chain[0])
         asked = []
 
@@ -188,19 +199,19 @@ class TestPullbacksBothWays:
         counted = Reduction(reduction.name, reduction.source, reduction.target, reduction.encoder,
                             reduction.decoder, QueryPlan("counted", counting_rule))
         pulled = pullback_algorithm(counted, ig.rectangle_tower(ig.interval(0, 2)).stage((8,)))
-        assert len(asked) == 8
+        assert asked == []
         run_algorithm(pulled, chain[0], ig.polynomial(1))
         assert len(asked) == 8
+        run_algorithm(pulled, chain[0], ig.polynomial(0, 1))
+        assert len(asked) == 16
 
-    def test_plan_gap_raised_when_built(self, chain):
+    def test_plan_gap_raised_when_its_round_is_asked(self, chain):
         reduction = ig.affine_reduction(chain[1], chain[0])
         outside = constant_algorithm("bad", ("ev", Fraction(9)), 0)  # 9 not in [0, 2]
-        with pytest.raises(PlanGap):
-            pullback_algorithm(reduction, outside)
-        # the stepped protocol meets the gap only when the query is asked
-        lazy = pullback_algorithm(reduction, stepped(outside))
-        with pytest.raises(PlanGap):
-            run_algorithm(lazy, chain[0], ig.polynomial(1))
+        for alg in (outside, one_at_a_time(outside)):
+            pulled = pullback_algorithm(reduction, alg)
+            with pytest.raises(PlanGap):
+                run_algorithm(pulled, chain[0], ig.polynomial(1))
 
 
 def vector_problem(name: str, prefix: str, length: int, target) -> Problem:
@@ -251,7 +262,7 @@ def assert_pullback_law(reduction: Reduction, alg: GeneralAlgorithm, a) -> None:
     source, target = reduction.source, reduction.target
     target_value, target_trace = run_algorithm(alg, target, reduction.encoder(a))
     blocks = [reduction.plan.entry(qid) for qid in target_trace.ids]
-    for pulled in (pullback_algorithm(reduction, alg), pullback_algorithm(reduction, stepped(alg))):
+    for pulled in (pullback_algorithm(reduction, alg), pullback_algorithm(reduction, one_at_a_time(alg))):
         value, trace = run_algorithm(pulled, source, a)
         assert value == reduction.decoder.map(target_value)
         assert trace.ids == tuple(sid for block in blocks for sid in block.source_ids)
@@ -296,6 +307,58 @@ def test_pullback_law_affine(a, width, coeffs, n):
     assert_pullback_law(reduction, ig.rectangle_tower(iv).stage((n,)), f)
 
 
+def two_rounds(first: list[int], m: int) -> GeneralAlgorithm:
+    """Asks ``("w", i)`` for ``i`` in ``first``, then a second round chosen from those answers."""
+
+    def protocol():
+        answers = yield Ask(*[("w", i) for i in first])
+        width = 1 + answers[0] % 3
+        more = yield Ask(*[("w", (answers[-1] + k) % m) for k in range(width)])
+        return answers + more
+
+    return GeneralAlgorithm("two-rounds", protocol)
+
+
+def recorded(alg: GeneralAlgorithm, rounds: list) -> GeneralAlgorithm:
+    """The same algorithm, appending the ids of each round it asks to ``rounds``."""
+
+    def protocol():
+        run = alg.protocol()
+        answers = None
+        while True:
+            try:
+                step = run.send(answers)
+            except StopIteration as done:
+                return done.value
+            rounds.append(step.query_ids)
+            answers = yield step
+
+    return GeneralAlgorithm(alg.name, protocol, alg.budget)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(1, 5).flatmap(
+        lambda m: st.tuples(
+            st.just(m),
+            st.lists(st.integers(-50, 50), min_size=2 * m, max_size=2 * m).map(tuple),
+            st.lists(st.integers(0, m - 1), min_size=2, max_size=8),
+        )
+    )
+)
+def test_pullback_law_two_rounds(case):
+    m, v, first = case
+    reduction = width_two_reduction(m)
+    alg = two_rounds(first, m)
+    assert_pullback_law(reduction, alg, v)
+    # each inner round is asked as one source round of its concatenated blocks
+    inner, outer = [], []
+    run_algorithm(recorded(alg, inner), reduction.target, reduction.encoder(v))
+    run_algorithm(recorded(pullback_algorithm(reduction, alg), outer), reduction.source, v)
+    assert len(inner) == 2 and len(inner[0]) >= 2
+    assert outer == [tuple(sid for qid in ids for sid in reduction.plan.entry(qid).source_ids) for ids in inner]
+
+
 class TestBatchRun:
     def recording(self, problem: Problem, monkeypatch) -> list:
         resolved = []
@@ -310,9 +373,9 @@ class TestBatchRun:
         with pytest.raises(BudgetExceeded):
             run_algorithm(alg, unit_problem, ig.polynomial(1))
         assert resolved == []
-        # stepping the same protocol resolves up to the budget before it refuses
+        # one query per round: the first three rounds are answered, the fourth refused
         with pytest.raises(BudgetExceeded):
-            run_algorithm(stepped(alg), unit_problem, ig.polynomial(1))
+            run_algorithm(one_at_a_time(alg), unit_problem, ig.polynomial(1))
         assert resolved == ids[:3]
         assert run_algorithm(fixed_query_algorithm("three", ids[:3], sum, budget=3), unit_problem,
                              ig.polynomial(1))[0] == 3
@@ -322,7 +385,7 @@ class TestBatchRun:
         ids = [("ev", Fraction(0)), ("ev", Fraction(7)), ("ev", Fraction(1, 2)), ("ev", Fraction(9))]
         alg = fixed_query_algorithm("strays", ids, sum)
         messages = []
-        for driven in (alg, stepped(alg)):
+        for driven in (alg, one_at_a_time(alg)):
             with pytest.raises(UnknownQuery) as raised:
                 run_algorithm(driven, unit_problem, ig.polynomial(1))
             messages.append(str(raised.value))
@@ -336,22 +399,47 @@ class TestBatchRun:
             run_algorithm(alg, unit_problem, "not a function")
         assert resolved == []
 
+    def test_round_over_budget_resolves_none_of_its_ids(self, unit_problem, monkeypatch):
+        resolved = self.recording(unit_problem, monkeypatch)
+        first = [("ev", Fraction(0)), ("ev", Fraction(1))]
+        second = [("ev", Fraction(1, 3)), ("ev", Fraction(2, 3))]
+
+        def protocol():
+            yield Ask(*first)
+            yield Ask(*second)
+            return 0
+
+        with pytest.raises(BudgetExceeded):
+            run_algorithm(GeneralAlgorithm("over", protocol, budget=3), unit_problem, ig.polynomial(1))
+        assert resolved == first
+        assert run_algorithm(GeneralAlgorithm("fits", protocol, budget=4), unit_problem,
+                             ig.polynomial(1))[1].ids == tuple(first + second)
+
+    def test_empty_round_is_a_violation(self, chain):
+        reduction = ig.affine_reduction(chain[1], chain[0])
+
+        def silent():
+            yield Ask(("ev", Fraction(1)))
+            yield Ask()
+            return 0
+
+        alg = GeneralAlgorithm("silent", silent)
+        with pytest.raises(ProtocolViolation, match="nonempty Ask"):
+            run_algorithm(alg, chain[1], ig.polynomial(1))
+        with pytest.raises(ProtocolViolation, match="nonempty Ask"):
+            run_algorithm(pullback_algorithm(reduction, alg), chain[0], ig.polynomial(1))
+
     def test_derived_protocol_asks_the_ids_in_order(self):
         ids = (("ev", Fraction(1)), ("ev", Fraction(0)))
         alg = fixed_query_algorithm("two", ids, lambda vals: vals[0] - vals[1])
         run = alg.protocol()
-        assert run.send(None) == Ask(ids[0])
-        assert run.send(5) == Ask(ids[1])
+        assert run.send(None) == Ask(*ids)
         with pytest.raises(StopIteration) as done:
-            run.send(2)
+            run.send((5, 2))
         assert done.value.value == 3
 
     def test_construction_checks(self):
-        with pytest.raises(ValueError, match="protocol or a fixed query list"):
-            GeneralAlgorithm("nothing")
         with pytest.raises(ValueError, match="at least one query"):
             fixed_query_algorithm("empty", [], sum)
-        with pytest.raises(ValueError, match="no finish"):
-            GeneralAlgorithm("half", query_ids=(("ev", 0),))
         with pytest.raises(ValueError, match="budget"):
             fixed_query_algorithm("zero", [("ev", 0)], sum, budget=0)

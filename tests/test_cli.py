@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sci_workbench import integration as ig
+from sci_workbench import koopman as kp
 from sci_workbench import spectral as sp
 from sci_workbench.catalog import (
     default_catalog_path,
@@ -226,6 +227,24 @@ def test_non_finite_report_exits_2(capsys):
         dispatch(argv[1:])
 
 
+OUT_OF_DOUBLE_RANGE = {
+    "integrate-tower": ["integrate", "tower", "--interval", "0", "1e400", "--function", "sine:1,1",
+                        "--n", "4"],
+    "reduce-pullback": ["reduce", "pullback", "--interval", "0", "1e400", "--n", "4", "--function",
+                        "sine:1,1"],
+    "koopman-weights": ["koopman", "finite", "--map", "2,1", "--weights", "1e400,1", "--target", "apeps",
+                        "--epsilon", "0.5", "--grid", "-1.5", "1.5", "-1.5", "1.5", "0.1"],
+}
+
+
+@pytest.mark.parametrize("argv", OUT_OF_DOUBLE_RANGE.values(), ids=OUT_OF_DOUBLE_RANGE.keys())
+def test_rational_out_of_double_range_exits_2(argv, capsys):
+    assert main(["--json", *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("bad argument value: ") and "Traceback" not in captured.err
+    assert captured.out == ""
+
+
 def test_tiny_frequency_sine_passes_its_error_bound():
     report = dispatch(["integrate", "tower", "--interval", "0", "1", "--function", "sine:1,1e-9",
                        "--n", "4"])
@@ -334,6 +353,21 @@ def test_oversized_request_exits_2_before_any_work(argv, monkeypatch, capsys):
     captured = capsys.readouterr()
     assert captured.err.startswith("error: BudgetExceeded:") and "Traceback" not in captured.err
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("target", [["--target", "ap"], ["--target", "apeps", "--epsilon", "0.5",
+                                                "--grid", "-1.5", "1.5", "-1.5", "1.5", "0.5"]])
+def test_oversized_koopman_map_exits_2_before_any_matrix_work(target, monkeypatch, capsys):
+    def no_work(*args, **kwargs):
+        raise AssertionError("matrix work started")
+
+    monkeypatch.setattr(kp.np.linalg, "svd", no_work)
+    monkeypatch.setattr(kp.np.linalg, "eigvals", no_work)
+    cycle = ",".join(str(i % 1001 + 1) for i in range(1, 1002))
+    assert main(["--json", "koopman", "finite", "--map", cycle, *target]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: BudgetExceeded: koopman-matrix[N=1001]")
+    assert "Traceback" not in captured.err and captured.out == ""
 
 
 @pytest.mark.parametrize("argv", [["--catalog", "{dir}", "spectral", "reduce"],

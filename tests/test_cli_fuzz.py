@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from sci_workbench.cli import _HANDLERS, main
 
 RATIONAL = st.sampled_from(
-    ["0", "1", "1/2", "1/3", "3/4", "2", "5/2", "-1", "-3/4", "x", "", "1/0", "1.5", "nan", "inf", "1e40"]
+    ["0", "1", "1/2", "1/3", "3/4", "2", "5/2", "-1", "-3/4", "x", "", "1/0", "1.5", "nan", "inf", "1e40", "1e400"]
 )
 STAGE = st.sampled_from(["-1", "0", "1", "3", "16", "64", "2000000", "x", "1.5", ""])
 OUTER = st.sampled_from(["-2", "0", "1", "3", "12", "x"])
@@ -47,7 +47,7 @@ OPTIONS = {
     ("spectral", "reduce"): {"--stabilizer": DIAGONAL, "--domain": INTERVAL, "--samples": SAMPLES},
     ("koopman", "finite"): {
         "--map": st.sampled_from(["2,1", "1", "3,1,2", "1,1,1", "0", "5,1", "x", "", "1,,2"]),
-        "--weights": st.sampled_from(["1,1", "1", "1/2,2", "0,1", "-1,1", "x", "1/0,1", ""]),
+        "--weights": st.sampled_from(["1,1", "1", "1/2,2", "0,1", "-1,1", "x", "1/0,1", "1e400,1", ""]),
         "--target": st.sampled_from(["ap", "apeps", "x"]),
         "--epsilon": st.sampled_from(["0.1", "0.5", "1", "0", "-1", "nan", "inf", "x"]),
         "--grid": st.tuples(

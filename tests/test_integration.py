@@ -81,12 +81,12 @@ class TestRectangleTower:
             kept = cache.cache_info().currsize
             assert 0 < kept < 40
             big = tower.stage((10**5,))
-            assert len(big.query_ids) == 10**5
+            assert len(big.protocol().send(None).query_ids) == 10**5
             info = cache.cache_info()
             assert cache.items <= ig.GRID_CACHE_IDS and info.maxsize == ig.GRID_CACHE_ENTRIES
             assert (info.hits, info.misses) == (0, 41)
             again = tower.stage((4039,))  # the most recent stage that fits is kept
-            assert cache.cache_info().hits == 1 and len(again.query_ids) == 4039
+            assert cache.cache_info().hits == 1 and len(again.protocol().send(None).query_ids) == 4039
         finally:
             cache.cache_clear()
         assert cache.items == 0 and cache.cache_info() == (0, 0, ig.GRID_CACHE_ENTRIES, 0)

@@ -323,9 +323,9 @@ class TestPullback:
         reduction = ig.affine_reduction(chain[1], chain[0])
 
         def adaptive():
-            first = yield Ask(("ev", Fraction(1)))
+            (first,) = yield Ask(("ev", Fraction(1)))
             probe = Fraction(1, 2) if first == 0 else Fraction(3, 2)
-            second = yield Ask(("ev", probe))
+            (second,) = yield Ask(("ev", probe))
             return first + second
 
         alg = GeneralAlgorithm("adaptive", adaptive)
