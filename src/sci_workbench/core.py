@@ -220,12 +220,10 @@ class GeneralAlgorithm:
             raise ValueError("budget must be a positive integer")
 
 
-def check_budget(name: str, queries: int) -> None:
-    """Refuse, before anything is allocated, a request for more than ``DEFAULT_BUDGET`` queries."""
-    if queries > DEFAULT_BUDGET:
-        raise BudgetExceeded(
-            f"{name} would ask {queries} queries, over the budget of {DEFAULT_BUDGET}"
-        )
+def check_budget(name: str, count: int, unit: str = "queries", budget: int = DEFAULT_BUDGET) -> None:
+    """Refuse, before anything is allocated, a request for more than ``budget`` of ``unit``."""
+    if count > budget:
+        raise BudgetExceeded(f"{name} would need {count} {unit}, over the budget of {budget} {unit}")
 
 
 def fixed_query_algorithm(

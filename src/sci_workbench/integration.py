@@ -314,19 +314,27 @@ def make_problem(iv: Interval, functions: Sequence[FunctionDescription] | None =
             return None
         return lambda f: f.value(x)
 
+    # a + length*(j/den) = (an*ld*den + ln*ad*j) / (ad*ld*den), one Fraction per id
+    an, ad = a.numerator, a.denominator
+    ln, ld = iv.length.numerator, iv.length.denominator
+    a_num, l_num, base = an * ld, ln * ad, ad * ld
+
+    def grid_point(j: int, den: int):
+        return ("ev", Fraction(a_num * den + l_num * j, base * den))
+
     if iv.degenerate:
         canonical = (("ev", a),)
     else:
-        canonical = tuple(("ev", a + iv.length * Fraction(j, 8)) for j in range(9))
+        canonical = tuple(grid_point(j, 8) for j in range(9))
 
     def sampler(rng):
         den = rng.choice((8, 16, 32, 64))
-        return ("ev", a + iv.length * Fraction(rng.randrange(den + 1), den))
+        return grid_point(rng.randrange(den + 1), den)
 
     def separators(f, g):
         for den in range(1, 65):
             for num in range(den + 1):
-                yield ("ev", a + iv.length * Fraction(num, den))
+                yield grid_point(num, den)
 
     return Problem(
         name=f"integration{iv}",

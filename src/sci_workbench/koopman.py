@@ -108,7 +108,7 @@ def koopman_matrix(space: FiniteSpace, table: MapTable) -> KoopmanMatrix:
     if table.size != space.size:
         raise ValueError("map table size differs from space size")
     n = space.size
-    check_budget(f"koopman-matrix[N={n}]", n * n)
+    check_budget(f"koopman-matrix[N={n}]", n * n, "matrix entries")
     rows = tuple(
         tuple(1 if j == table(i) else 0 for j in range(1, n + 1)) for i in range(1, n + 1)
     )
@@ -259,12 +259,17 @@ class GridSpec:
         if self.spacing <= 0 or self.re_lo > self.re_hi or self.im_lo > self.im_hi:
             raise BadGrid("bad grid rectangle")
         try:
-            n_re, n_im = self._steps()
+            count = self.size
         except OverflowError:
             raise BadGrid(f"grid rectangle overflows at spacing {self.spacing}") from None
-        count = (n_re + 1) * (n_im + 1)
         if count > DEFAULT_BUDGET:
             raise BadGrid(f"grid has {count} points, more than the budget {DEFAULT_BUDGET}")
+
+    @property
+    def size(self) -> int:
+        """Number of grid points."""
+        n_re, n_im = self._steps()
+        return (n_re + 1) * (n_im + 1)
 
     def _steps(self) -> tuple[int, int]:
         return (
@@ -292,6 +297,9 @@ class GridSpec:
                 yield complex(x, y)
 
 
+#: Largest grid points x N^3 that one sigma_ap_eps call accepts: SVD work grows with
+#: both, and the default 22801-point CLI grid at N = 32 (7.5e8) stays inside.
+AP_EPS_BUDGET = 2**30
 #: Index step between anchor rows (and anchor columns) of the pruned grid pass.
 _ANCHOR_STRIDE = 4
 #: The constant c of the SVD error bound delta = c*n*u*(||B~||_F + sqrt(n)*max|z|).
@@ -337,7 +345,8 @@ def sigma_ap_eps(
     set.  Since sigma_inf is 1-Lipschitz in z, the sample is within one grid
     spacing of the true set in Hausdorff distance; the spacing must not
     exceed eps/4 and the rectangle must cover the spectrum plus an eps
-    margin.
+    margin.  A request of more than ``AP_EPS_BUDGET`` grid points x N^3
+    raises :class:`BudgetExceeded` before any SVD.
 
     The kept points are exactly those whose computed sigma_inf (the stacked
     SVD of :func:`sigma_inf`) is <= eps, but most are decided without an SVD.
@@ -364,6 +373,8 @@ def sigma_ap_eps(
     """
     if not (math.isfinite(eps) and eps > 0):
         raise ValueError(f"eps must be a positive finite number, got {eps}")
+    n = matrix.size
+    check_budget(f"sigma_ap_eps[N={n}]", grid.size * n**3, "grid points x N^3", AP_EPS_BUDGET)
     if grid.spacing > eps / 4:
         raise GridTooCoarse(f"spacing {grid.spacing} exceeds eps/4 = {eps / 4}")
     spectrum = sigma_ap(matrix, weights)

@@ -239,10 +239,10 @@ def _is_exact(value) -> bool:
 
 
 def _mismatch(want, got, gap, tol: float) -> bool:
-    """Exact data must agree exactly; float-tainted data gets the tolerance."""
+    """Exact data must agree exactly; float-tainted data gets the tolerance, and a NaN gap fails."""
     if _is_exact(want) and _is_exact(got):
         return gap != 0
-    return gap > tol
+    return not gap <= tol
 
 
 def verify_reduction(
@@ -255,18 +255,22 @@ def verify_reduction(
 ) -> VerificationReport:
     """Sample catalog inputs and plan-covered queries against the two defining equations.
 
-    Numeric query answers add their gap to ``max_discrepancy``; exact
+    Query answers that compare equal are settled by that comparison: their
+    gap is 0, so they can neither fail nor raise ``max_discrepancy``.
+    Unequal numeric answers add their gap to ``max_discrepancy``; exact
     numbers must agree exactly, numbers involving floating point within
-    ``tol``.  Other query answers (tuples, say) are compared by equality.
-    Targets compare through the output distance in the same way as
-    numbers.  An encoded input the
-    target does not admit counts as a target failure and ends that sample.
-    Failures are report content, never exceptions.  More than
-    ``DEFAULT_BUDGET`` sampled queries raise :class:`BudgetExceeded` before
-    any sampling.
+    ``tol``.  Other unequal answers (tuples, say) fail.  Targets compare
+    through the output distance in the same way as numbers.  A NaN gap,
+    of a query or of a target, is a failure and leaves ``max_discrepancy``
+    finite.  An encoded input the target does not admit counts as a
+    target failure and ends that sample.  Failures are report content,
+    never exceptions.  More than ``DEFAULT_BUDGET`` sampled queries raise
+    :class:`BudgetExceeded` before any sampling.
     """
     if sample_count < 1:
         raise ValueError("sample_count must be >= 1")
+    if not tol >= 0:
+        raise ValueError(f"tol must be a non-negative number, got {tol}")
     check_budget(f"verify[{reduction.name}]", sample_count * queries_per_sample)
     rng = random.Random(seed)
     source, target = reduction.source, reduction.target
@@ -299,12 +303,14 @@ def verify_reduction(
                 source.queries.resolve(sid).evaluate(a) for sid in entry.source_ids
             )
             got_q = entry.combine(answers)
+            if want_q == got_q:
+                continue
             if isinstance(want_q, Number) and isinstance(got_q, Number):
                 gap_q = abs(want_q - got_q)
                 max_discrepancy = max(max_discrepancy, float(gap_q))
                 if _mismatch(want_q, got_q, gap_q, tol):
                     query_failures += 1
-            elif want_q != got_q:
+            else:
                 query_failures += 1
 
     return VerificationReport(

@@ -243,9 +243,10 @@ def window_approximant(window: Window, n: int) -> WindowApproximant:
     if n < 1:
         raise ValueError("approximant index must be >= 1")
     scale = 2 ** (n + 2)
-    value = Fraction(math.floor(window.z * scale), scale)
-    assert abs(value - window.z) < Fraction(1, scale)
-    return WindowApproximant(n, value)
+    p, q = window.z.numerator, window.z.denominator
+    floor = p * scale // q
+    assert 0 <= p * scale - floor * q < q
+    return WindowApproximant(n, Fraction(floor, scale))
 
 
 def exact_decision_oracle(spec: DiagonalSpec, window: Window) -> int:

@@ -370,6 +370,22 @@ def test_oversized_koopman_map_exits_2_before_any_matrix_work(target, monkeypatc
     assert "Traceback" not in captured.err and captured.out == ""
 
 
+@pytest.mark.parametrize("n,grid", [(64, []), (135, ["--grid", "-1.25", "1.25", "-1.25", "1.25", "0.125"])])
+def test_costly_apeps_request_exits_2_before_any_svd(n, grid, monkeypatch, capsys):
+    # cost in grid points x N^3: 22801 x 64^3 on the default grid, 441 x 135^3 on a small one
+    def no_work(*args, **kwargs):
+        raise AssertionError("SVD work started")
+
+    monkeypatch.setattr(kp.np.linalg, "svd", no_work)
+    cycle = ",".join(str(i % n + 1) for i in range(1, n + 1))
+    argv = ["--json", "koopman", "finite", "--map", cycle, "--target", "apeps", "--epsilon", "0.5", *grid]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: BudgetExceeded: sigma_ap_eps[N={n}] would need ")
+    assert "grid points x N^3" in captured.err
+    assert "Traceback" not in captured.err and captured.out == ""
+
+
 @pytest.mark.parametrize("argv", [["--catalog", "{dir}", "spectral", "reduce"],
                                   ["reduce", "verify", "--spec", "{dir}"]])
 def test_directory_as_path_exits_2(argv, tmp_path, capsys):

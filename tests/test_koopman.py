@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from sci_workbench import koopman as kp
 from sci_workbench.core import DEFAULT_BUDGET, run_algorithm
-from sci_workbench.errors import BadGrid, EmptySet, GridTooCoarse
+from sci_workbench.errors import BadGrid, BudgetExceeded, EmptySet, GridTooCoarse
 
 
 def all_tables(n):
@@ -116,6 +116,20 @@ class TestSigmaApEps:
         m = kp.koopman_matrix(kp.uniform_space(1), kp.MapTable((1,)))
         with pytest.raises(GridTooCoarse):
             kp.sigma_ap_eps(m, 0.5, kp.GridSpec(0.9, 1.1, -0.1, 0.1, 0.1))
+
+    def test_cost_budget_is_inclusive_and_fits_the_default_grid(self):
+        # 128 x 256 grid points at N = 32 is exactly the budget; one more grid row is over it
+        m = kp.koopman_matrix(kp.uniform_space(32), kp.MapTable(tuple(range(2, 33)) + (1,)))
+        assert kp.GridSpec(0, 127, 0, 255, 1).size * 32**3 == kp.AP_EPS_BUDGET
+        with pytest.raises(GridTooCoarse):  # past the budget check, refused for its margin
+            kp.sigma_ap_eps(m, 4.0, kp.GridSpec(0, 127, 0, 255, 1))
+        with pytest.raises(BudgetExceeded, match=r"sigma_ap_eps\[N=32\] would need 1077936128 grid points x N\^3"):
+            kp.sigma_ap_eps(m, 4.0, kp.GridSpec(0, 127, 0, 256, 1))
+        assert kp.GridSpec(-1.5, 1.5, -1.5, 1.5, 0.02).size * 32**3 <= kp.AP_EPS_BUDGET
+
+    def test_matrix_refusal_counts_entries(self):
+        with pytest.raises(BudgetExceeded, match=r"would need 1002001 matrix entries"):
+            kp.koopman_matrix(kp.uniform_space(1001), kp.MapTable((1,) * 1001))
 
     @pytest.mark.parametrize("eps", [float("nan"), float("inf"), float("-inf"), 0.0, -0.5])
     def test_non_positive_or_non_finite_eps_refused_by_name(self, eps):

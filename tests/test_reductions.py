@@ -1,7 +1,11 @@
 import dataclasses
+import math
+import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sci_workbench import integration as ig
 from sci_workbench import spectral as sp
@@ -219,6 +223,28 @@ class TestVerify:
         report = verify_reduction(near, 5)
         assert report.passed and 0 < report.max_discrepancy <= report.tol
 
+    def test_nan_combiner_fails(self, chain):
+        # max(x, nan) keeps x and nan > tol is False, so these answers used to pass
+        good = ig.affine_reduction(chain[1], chain[0])
+        nan_plan = QueryPlan("nan", lambda qid: PlanEntry(good.plan.rule(qid).source_ids, lambda vals: math.nan))
+        report = verify_reduction(dataclasses.replace(good, plan=nan_plan), 5, queries_per_sample=4)
+        assert not report.passed
+        assert report.query_failures == 20 and report.target_failures == 0
+        assert report.max_discrepancy == 0.0
+
+    def test_nan_decoder_fails(self, chain):
+        good = ig.affine_reduction(chain[1], chain[0])
+        bad = dataclasses.replace(good, decoder=Decoder(lambda y: math.nan, DecoderClass.CONT, "nan"))
+        report = verify_reduction(bad, 5, queries_per_sample=4)
+        assert not report.passed
+        assert report.target_failures == 5 and report.query_failures == 0
+        assert math.isfinite(report.max_discrepancy)
+
+    @pytest.mark.parametrize("tol", [-1e-9, math.nan])
+    def test_tolerance_must_be_non_negative(self, chain, tol):
+        with pytest.raises(ValueError, match="tol must be a non-negative number"):
+            verify_reduction(ig.affine_reduction(chain[1], chain[0]), 5, tol)
+
     def test_oversized_request_refused_before_sampling(self, chain, monkeypatch):
         def no_sampling(*args):
             raise AssertionError("sampled")
@@ -241,6 +267,75 @@ class TestVerify:
         assert verify_reduction(forward).passed
         mixed = forward.plan.entry(("nu", 1, 1, 1, 2))
         assert mixed.combine((Fraction(99),)) == 0
+
+
+ENDPOINT = st.fractions(min_value=-6, max_value=6, max_denominator=24)
+WIDTH = st.fractions(min_value=Fraction(1, 24), max_value=6, max_denominator=24)
+
+
+@st.composite
+def problems(draw):
+    a = draw(ENDPOINT)
+    return ig.make_problem(ig.interval(a, a + draw(WIDTH)))
+
+
+def widened(reduction: Reduction, copies: int) -> Reduction:
+    """The same simulation with each source id asked ``copies`` times; the last copy is used."""
+
+    def rule(qid):
+        entry = reduction.plan.rule(qid)
+        if entry is None:
+            return None
+        return PlanEntry(
+            entry.source_ids * copies, lambda vals, _e=entry: _e.combine(vals[-_e.width:])
+        )
+
+    return dataclasses.replace(reduction, plan=QueryPlan(f"{reduction.plan.name}x{copies}", rule))
+
+
+def affine_step(source, target, copies):
+    return widened(ig.affine_reduction(target, source), copies)
+
+
+class TestPreorderLaws:
+    """Reflexivity and transitivity of the transport preorder over generated intervals."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(problems(), st.integers(0, 2**16))
+    def test_identity_reduction_verifies(self, problem, seed):
+        report = verify_reduction(identity_reduction(problem), 5, queries_per_sample=6, seed=seed)
+        assert report.passed and report.max_discrepancy == 0.0
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.lists(problems(), min_size=3, max_size=3), st.lists(st.integers(1, 3), min_size=2, max_size=2),
+           st.integers(0, 2**16))
+    def test_compose_of_verified_reductions_verifies(self, chain, copies, seed):
+        r1 = affine_step(chain[0], chain[1], copies[0])
+        r2 = affine_step(chain[1], chain[2], copies[1])
+        assert verify_reduction(r1, 4, queries_per_sample=5, seed=seed).passed
+        assert verify_reduction(r2, 4, queries_per_sample=5, seed=seed).passed
+        composed = compose(r1, r2)
+        assert verify_reduction(composed, 4, queries_per_sample=5, seed=seed).passed
+        for qid in chain[2].queries.sample_ids(random.Random(seed), 10):
+            outer = r2.plan.entry(qid)
+            total = sum(r1.plan.entry(mid).width for mid in outer.source_ids)
+            assert composed.plan.entry(qid).width == total == copies[0] * copies[1]
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.lists(problems(), min_size=4, max_size=4), st.lists(st.integers(1, 2), min_size=3, max_size=3),
+           st.integers(0, 2**16))
+    def test_compose_is_associative_on_sampled_queries(self, chain, copies, seed):
+        r1, r2, r3 = (affine_step(chain[i], chain[i + 1], copies[i]) for i in range(3))
+        left = compose(compose(r1, r2), r3)
+        right = compose(r1, compose(r2, r3))
+        rng = random.Random(seed)
+        source = chain[0]
+        for qid in chain[3].queries.sample_ids(rng, 6):
+            lhs, rhs = left.plan.entry(qid), right.plan.entry(qid)
+            assert lhs.source_ids == rhs.source_ids
+            a = source.inputs.sample(rng)
+            answers = tuple(source.queries.resolve(sid).evaluate(a) for sid in lhs.source_ids)
+            assert repr(lhs.combine(answers)) == repr(rhs.combine(answers))
 
 
 class TestPullback:

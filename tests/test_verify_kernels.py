@@ -1,0 +1,253 @@
+"""The verification hot path against the expressions it replaces.
+
+``reference_verify`` is the sampling loop of ``verify_reduction`` before
+equal query answers were settled by equality: every numeric answer pays
+the gap arithmetic.  ``reference_sampler`` and ``reference_grid_point``
+build sampled and canonical point ids as ``a + length * Fraction(j, den)``,
+and ``reference_approximant`` takes the window floor through a Fraction
+product.  Reports are compared through ``repr``, so every field, floats
+included, must match bit for bit.  NaN answers are left out: the
+reference passes them and ``verify_reduction`` fails them (see
+``tests/test_reductions.py``).
+"""
+
+import dataclasses
+import math
+import random
+from fractions import Fraction
+from numbers import Number
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from sci_workbench import integration as ig
+from sci_workbench import spectral as sp
+from sci_workbench.core import InputCatalog, OutputSpace, Problem, QueryFamily, check_budget
+from sci_workbench.reductions import (
+    PlanEntry,
+    QueryPlan,
+    VerificationReport,
+    compose,
+    identity_reduction,
+    verify_reduction,
+)
+
+# --- references: the expressions the hot path replaces --------------------
+
+
+def _is_exact(value) -> bool:
+    if isinstance(value, (bool, int, Fraction)):
+        return True
+    if isinstance(value, tuple):
+        return all(_is_exact(v) for v in value)
+    return False
+
+
+def _mismatch(want, got, gap, tol):
+    if _is_exact(want) and _is_exact(got):
+        return gap != 0
+    return gap > tol
+
+
+def reference_verify(reduction, sample_count=100, tol=1e-9, *, queries_per_sample=20, seed=0):
+    check_budget(f"verify[{reduction.name}]", sample_count * queries_per_sample)
+    rng = random.Random(seed)
+    source, target = reduction.source, reduction.target
+    distance = source.output_space.distance
+    target_failures = 0
+    query_failures = 0
+    max_discrepancy = 0.0
+
+    for _ in range(sample_count):
+        a = source.inputs.sample(rng)
+        encoded = reduction.encoder(a)
+        if not target.inputs.admits(encoded):
+            target_failures += 1
+            continue
+
+        want = source.target(a)
+        got = reduction.decoder.map(target.target(encoded))
+        gap = distance(want, got)
+        max_discrepancy = max(max_discrepancy, float(gap))
+        if _mismatch(want, got, gap, tol):
+            target_failures += 1
+
+        for query_id in target.queries.sample_ids(rng, queries_per_sample):
+            entry = reduction.plan.rule(query_id)
+            if entry is None:
+                query_failures += 1
+                continue
+            want_q = target.queries.resolve(query_id).evaluate(encoded)
+            answers = tuple(source.queries.resolve(sid).evaluate(a) for sid in entry.source_ids)
+            got_q = entry.combine(answers)
+            if isinstance(want_q, Number) and isinstance(got_q, Number):
+                gap_q = abs(want_q - got_q)
+                max_discrepancy = max(max_discrepancy, float(gap_q))
+                if _mismatch(want_q, got_q, gap_q, tol):
+                    query_failures += 1
+            elif want_q != got_q:
+                query_failures += 1
+
+    return VerificationReport(
+        samples=sample_count,
+        queries_per_sample=queries_per_sample,
+        target_failures=target_failures,
+        query_failures=query_failures,
+        max_discrepancy=max_discrepancy,
+        tol=tol,
+        seed=seed,
+    )
+
+
+def reference_grid_point(iv, j, den):
+    return ("ev", iv.a + iv.length * Fraction(j, den))
+
+
+def reference_sampler(iv, rng):
+    den = rng.choice((8, 16, 32, 64))
+    return ("ev", iv.a + iv.length * Fraction(rng.randrange(den + 1), den))
+
+
+def reference_approximant(z, n):
+    scale = 2 ** (n + 2)
+    return Fraction(math.floor(z * scale), scale)
+
+
+def same_report(reduction, samples, queries, seed=0):
+    got = verify_reduction(reduction, samples, queries_per_sample=queries, seed=seed)
+    want = reference_verify(reduction, samples, queries_per_sample=queries, seed=seed)
+    assert repr(got) == repr(want)
+    return got
+
+
+# --- strategies -------------------------------------------------------------
+
+ENDPOINT = st.fractions(min_value=-8, max_value=8, max_denominator=48)
+
+
+@st.composite
+def intervals(draw):
+    a = draw(ENDPOINT)
+    width = draw(st.fractions(min_value=Fraction(1, 36), max_value=8, max_denominator=36))
+    return ig.interval(a, a + width)
+
+
+# --- verify_reduction -------------------------------------------------------
+
+
+class TestVerifyEqualsReference:
+    @settings(max_examples=25, deadline=None)
+    @given(intervals(), intervals(), st.integers(0, 2**16))
+    def test_generated_affine_reductions(self, s, t, seed):
+        reduction = ig.affine_reduction(ig.make_problem(t), ig.make_problem(s))
+        assert same_report(reduction, 6, 6, seed).passed
+
+    @settings(max_examples=10, deadline=None)
+    @given(st.lists(intervals(), min_size=3, max_size=5), st.integers(0, 2**16))
+    def test_compose_chains_of_length_2_to_4(self, ivs, seed):
+        problems = [ig.make_problem(iv) for iv in ivs]
+        chain = ig.affine_reduction(problems[1], problems[0])
+        for lo, hi in zip(problems[1:], problems[2:]):
+            chain = compose(chain, ig.affine_reduction(hi, lo))
+        assert same_report(chain, 5, 6, seed).passed
+
+    def test_both_stabilization_reductions(self, spectral_source):
+        domain = spectral_source.params["domain"]
+        stabilizer = sp.StabilizerSpec.certify(sp.constant_diagonal(5), domain)
+        for reduction in sp.stabilization_reductions(
+            domain, stabilizer, spectral_source.inputs.members, source=spectral_source
+        ):
+            assert same_report(reduction, 20, 20).passed
+
+    def test_identity_of_every_catalog_entry(self, default_catalog):
+        for entry in default_catalog.entries:
+            samples = min(10, 2 * len(entry.problem.inputs))
+            assert same_report(identity_reduction(entry.problem), samples, 10).passed, entry.problem.name
+
+    @pytest.mark.parametrize("off", [Fraction(1, 3), 1e-12, 1e-6], ids=["third", "1e-12", "1e-6"])
+    def test_wrong_combiners(self, off):
+        # sine inputs give float answers, polynomial inputs exact ones
+        good = ig.affine_reduction(ig.make_problem(ig.interval(0, 2)))
+
+        def shifted(qid):
+            entry = good.plan.rule(qid)
+            return PlanEntry(entry.source_ids, lambda vals, _e=entry: _e.combine(vals) + off)
+
+        bad = dataclasses.replace(good, plan=QueryPlan("off", shifted))
+        report = same_report(bad, 10, 8)
+        assert report.passed == (off == 1e-12)  # within tol = 1e-9 only the 1e-12 float shift
+
+    def test_tuple_valued_mismatch(self):
+        # answers are pairs (k, k + input + 1); the combiner swaps them
+        problem = Problem(
+            name="pairs",
+            inputs=InputCatalog(range(5)),
+            output_space=OutputSpace("integers", lambda p, q: abs(p - q)),
+            target=lambda a: a,
+            queries=QueryFamily(
+                "pair-queries",
+                lambda qid: (lambda a, _k=qid[1]: (_k, _k + a + 1)) if qid[0] == "pair" else None,
+                canonical_ids=tuple(("pair", k) for k in range(1, 4)),
+            ),
+        )
+        assert same_report(identity_reduction(problem), 10, 4).passed
+        swapped = QueryPlan("swap", lambda qid: PlanEntry((qid,), lambda vals: vals[0][::-1]))
+        bad = dataclasses.replace(identity_reduction(problem), plan=swapped)
+        assert same_report(bad, 10, 4).query_failures == 40
+
+
+# --- sampled, canonical and separator ids ------------------------------------
+
+
+class TestGridIdsEqualReference:
+    @settings(max_examples=60, deadline=None)
+    @given(intervals(), st.integers(0, 2**32))
+    def test_sampler_same_ids_and_rng_state(self, iv, seed):
+        queries = ig.make_problem(iv).queries
+        rng, ref = random.Random(seed), random.Random(seed)
+        got = queries.sample_ids(rng, 40)
+        want = [reference_sampler(iv, ref) for _ in range(40)]
+        assert [(x, type(x[1])) for x in got] == [(x, type(x[1])) for x in want]
+        assert rng.getstate() == ref.getstate()
+
+    @settings(max_examples=15, deadline=None)
+    @given(intervals())
+    def test_canonical_and_separator_ids(self, iv):
+        queries = ig.make_problem(iv).queries
+        assert queries.canonical_ids == tuple(reference_grid_point(iv, j, 8) for j in range(9))
+        f = ig.polynomial(1)
+        want = [reference_grid_point(iv, num, den) for den in range(1, 65) for num in range(den + 1)]
+        assert list(queries.separator_ids(f, f)) == want
+
+    def test_degenerate_interval_keeps_its_one_id(self):
+        iv = ig.interval(Fraction(-3, 7), Fraction(-3, 7))
+        assert ig.make_problem(iv).queries.canonical_ids == (("ev", Fraction(-3, 7)),)
+
+
+# --- window approximant -------------------------------------------------------
+
+
+WIDE = sp.domain(-(10**6), 10**6)
+
+
+class TestWindowApproximantEqualsReference:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.one_of(
+            st.fractions(min_value=-(10**6), max_value=10**6, max_denominator=10**30),
+            st.fractions(min_value=-1, max_value=1, max_denominator=97),
+            st.integers(-(10**6), 10**6).map(Fraction),
+        ),
+        st.integers(1, 60),
+    )
+    def test_equals_reference(self, z, n):
+        got = sp.window_approximant(sp.Window(z, WIDE), n)
+        assert got.value == reference_approximant(z, n)
+        assert type(got.value) is Fraction
+
+    @pytest.mark.parametrize("z", [Fraction(0), Fraction(-1, 3), Fraction(-5, 8), Fraction(-1, 10**40),
+                                   Fraction(10**40 - 1, 10**40), Fraction(-(2**70) - 1, 2**70)])
+    @pytest.mark.parametrize("n", [1, 2, 30, 60])
+    def test_edge_values(self, z, n):
+        assert sp.window_approximant(sp.Window(z, WIDE), n).value == reference_approximant(z, n)
