@@ -103,3 +103,10 @@ class UsageError(WorkbenchError):
 
 class NonFiniteReport(WorkbenchError):
     """A run report holding Infinity or NaN, which strict JSON cannot encode."""
+
+
+class WeightOutOfRange(ValueError):
+    """A Koopman weight whose double is 0 or infinite, or weights whose weighted matrix leaves double range.
+
+    Like any other rational out of double range, the CLI reports it as a bad argument value.
+    """

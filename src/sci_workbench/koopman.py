@@ -32,7 +32,7 @@ from .core import (
     check_budget,
     fixed_query_algorithm,
 )
-from .errors import BadGrid, EmptySet, GridTooCoarse
+from .errors import BadGrid, EmptySet, GridTooCoarse, WeightOutOfRange
 
 #: Complex entries per temporary block (64 KiB) in the grid SVD and Hausdorff kernels;
 #: a block never holds less than one matrix or one row of distances.
@@ -83,13 +83,14 @@ class MapTable:
 
 @dataclass(frozen=True)
 class KoopmanMatrix:
-    """0/1 row-selection matrix: row i has its single 1 in column F(i)."""
+    """Square 0/1 row-selection matrix: row i has its single 1 in column F(i)."""
 
     entries: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
+        n = len(self.entries)
         for row in self.entries:
-            if sum(row) != 1 or any(v not in (0, 1) for v in row):
+            if not (len(row) == n and row.count(1) == 1 and row.count(0) == n - 1):
                 raise ValueError("each row selects exactly one column")
 
     @property
@@ -100,7 +101,8 @@ class KoopmanMatrix:
         return tuple(row.index(1) + 1 for row in self.entries)
 
     def as_array(self) -> np.ndarray:
-        return np.array(self.entries, dtype=complex)
+        """The rows of the complex identity picked by the image: the entries as complex numbers."""
+        return np.eye(self.size, dtype=complex)[np.array(self.image()) - 1]
 
 
 def koopman_matrix(space: FiniteSpace, table: MapTable) -> KoopmanMatrix:
@@ -109,10 +111,12 @@ def koopman_matrix(space: FiniteSpace, table: MapTable) -> KoopmanMatrix:
         raise ValueError("map table size differs from space size")
     n = space.size
     check_budget(f"koopman-matrix[N={n}]", n * n, "matrix entries")
-    rows = tuple(
-        tuple(1 if j == table(i) else 0 for j in range(1, n + 1)) for i in range(1, n + 1)
-    )
-    return KoopmanMatrix(rows)
+    rows = []
+    for column in table.image:
+        row = [0] * n
+        row[column - 1] = 1
+        rows.append(tuple(row))
+    return KoopmanMatrix(tuple(rows))
 
 
 def sigma_inf(matrix: KoopmanMatrix, z: complex, weights: Sequence[Fraction] | None = None) -> float:
@@ -126,15 +130,23 @@ def sigma_inf(matrix: KoopmanMatrix, z: complex, weights: Sequence[Fraction] | N
     return float(values[0])
 
 
-def _sigma_inf_many(matrix: KoopmanMatrix, zs: Iterable, weights: Sequence[Fraction] | None):
+def _sigma_inf_many(
+    matrix: KoopmanMatrix, zs: Iterable, weights: Sequence[Fraction] | None, index: np.ndarray | None = None
+):
     """Yield (z chunk, sigma_inf array) over the z values, one stacked SVD per chunk.
 
     The entries of each shifted, weighted matrix are formed exactly as for a
-    single z, so the values equal the one-point SVD bit for bit.
+    single z, so the values equal the one-point SVD bit for bit.  Given an
+    increasing ``index`` array, the values are those of the diagonal block on
+    those rows and columns, whose entries are the full matrix's.
     """
-    n = matrix.size
-    base, eye = matrix.as_array(), np.eye(n)
+    base = matrix.as_array()
     w = _root_weights(weights)
+    if index is not None:
+        base = base[np.ix_(index, index)]
+        w = None if w is None else w[index]
+    n = len(base)
+    eye = np.eye(n)
     per_chunk = max(1, _CHUNK_ENTRIES // (n * n))
     zs = iter(zs)
     while chunk := list(itertools.islice(zs, per_chunk)):
@@ -145,8 +157,22 @@ def _sigma_inf_many(matrix: KoopmanMatrix, zs: Iterable, weights: Sequence[Fract
 
 
 def _root_weights(weights: Sequence[Fraction] | None):
-    """The diagonal of D = W^(1/2) in double precision, or None for unit weights."""
-    return None if weights is None else np.sqrt(np.array([float(x) for x in weights]))
+    """The diagonal of D = W^(1/2) in double precision, or None for unit weights.
+
+    A weight whose double is 0 or infinite raises :class:`WeightOutOfRange`.
+    """
+    if weights is None:
+        return None
+    doubles = []
+    for k, x in enumerate(weights, 1):
+        try:
+            d = float(x)
+        except OverflowError:
+            d = math.inf
+        if not 0 < d < math.inf:
+            raise WeightOutOfRange(f"weight {k} of {len(weights)} is out of double range: its double is {d}")
+        doubles.append(d)
+    return np.sqrt(np.array(doubles))
 
 
 @dataclass(frozen=True)
@@ -159,17 +185,26 @@ class CompactSetApprox:
     def __post_init__(self):
         if not self.points:
             raise EmptySet("compact-set approximations are nonempty")
+        _require_finite(self.points)
 
 
 def hausdorff(a: CompactSetApprox, b: CompactSetApprox) -> float:
     """Max of the two directed max-min distances between the point lists.
 
-    One pass over blocks of rows of A: each block's distances to all of B
+    Equal point tuples are at distance 0.0, which is what the pass below
+    returns for them, since every point is at ``hypot(0, 0) = 0`` from
+    itself.  Otherwise
+    one pass over blocks of rows of A: each block's distances to all of B
     give the row minima (A -> B) and update the running column minima
     (B -> A).  ``hypot`` of the difference is Python's ``abs`` bit for bit.
+    Compact sets are bounded, so a non-finite point, in a
+    :class:`CompactSetApprox` or in a raw point tuple, raises ValueError.
     """
-    pa = np.array(_points(a), dtype=complex)
-    pb = np.array(_points(b), dtype=complex)
+    pa, pb = _points(a), _points(b)
+    if pa == pb:
+        return 0.0
+    pa = np.array(pa, dtype=complex)
+    pb = np.array(pb, dtype=complex)
     rows = max(1, _CHUNK_ENTRIES // len(pb))
     forward = 0.0
     backward = np.full(len(pb), np.inf)
@@ -182,10 +217,19 @@ def hausdorff(a: CompactSetApprox, b: CompactSetApprox) -> float:
 
 
 def _points(value) -> tuple[complex, ...]:
-    pts = value.points if isinstance(value, CompactSetApprox) else tuple(value)
+    if isinstance(value, CompactSetApprox):
+        return value.points
+    pts = tuple(value)
     if not pts:
         raise EmptySet("cannot take distances to an empty set")
+    _require_finite(pts)
     return pts
+
+
+def _require_finite(points: tuple) -> None:
+    if not all(map(cmath.isfinite, points)):
+        bad = next(p for p in points if not cmath.isfinite(p))
+        raise ValueError(f"compact-set points are finite, got {bad}")
 
 
 _EXACT_ROOTS = {
@@ -196,12 +240,20 @@ _EXACT_ROOTS = {
 }
 
 
-def _cycle_lengths(image: tuple[int, ...]) -> tuple[set[int], bool]:
-    """Cycle lengths of the functional graph and whether any node is off-cycle."""
+def _cycle_lengths(image: tuple[int, ...]) -> tuple[set[int], bool, list[int]]:
+    """Cycle lengths of the functional graph, whether any node is off-cycle,
+    and per node (0-based) the number of its weakly connected component.
+
+    Each component holds exactly one cycle, so a path that closes a new
+    cycle opens a new component, and a path that runs into settled nodes
+    joins theirs.
+    """
     n = len(image)
     state = [0] * (n + 1)  # 0 new, 1 on current path, 2 settled
     on_cycle = [False] * (n + 1)
+    component = [0] * (n + 1)
     lengths: set[int] = set()
+    components = 0
     for start in range(1, n + 1):
         if state[start]:
             continue
@@ -216,10 +268,14 @@ def _cycle_lengths(image: tuple[int, ...]) -> tuple[set[int], bool]:
             lengths.add(len(cycle))
             for member in cycle:
                 on_cycle[member] = True
+            label, components = components, components + 1
+        else:
+            label = component[node]
         for member in path:
             state[member] = 2
+            component[member] = label
     has_tail = any(not on_cycle[i] for i in range(1, n + 1))
-    return lengths, has_tail
+    return lengths, has_tail, component[1:]
 
 
 def sigma_ap(matrix: KoopmanMatrix, weights: Sequence[Fraction] | None = None) -> CompactSetApprox:
@@ -230,7 +286,12 @@ def sigma_ap(matrix: KoopmanMatrix, weights: Sequence[Fraction] | None = None) -
     double precision.  Weights are accepted for interface symmetry but do
     not move eigenvalues (the weighted operator is similar to the matrix).
     """
-    lengths, has_tail = _cycle_lengths(matrix.image())
+    return _spectrum_and_components(matrix)[0]
+
+
+def _spectrum_and_components(matrix: KoopmanMatrix) -> tuple[CompactSetApprox, list[int]]:
+    """:func:`sigma_ap` and the component numbers of :func:`_cycle_lengths`, from one walk."""
+    lengths, has_tail, component = _cycle_lengths(matrix.image())
     angles: set[Fraction] = set()
     for length in lengths:
         for k in range(length):
@@ -239,7 +300,7 @@ def sigma_ap(matrix: KoopmanMatrix, weights: Sequence[Fraction] | None = None) -
     if has_tail:
         points.append(0j)
     points.sort(key=lambda p: (p.real, p.imag))
-    return CompactSetApprox(tuple(points))
+    return CompactSetApprox(tuple(points)), component
 
 
 @dataclass(frozen=True)
@@ -328,8 +389,17 @@ def _svd_error_bound(matrix: KoopmanMatrix, weights: Sequence[Fraction] | None, 
     the computed sigma_inf at every |z| <= z_max (see :func:`sigma_ap_eps`)."""
     n = matrix.size
     w = _root_weights(weights)
-    ratios = np.ones(n) if w is None else w / w[np.array(matrix.image()) - 1]
-    return _DELTA_C * n * _UNIT_ROUNDOFF * (float(np.linalg.norm(ratios)) + math.sqrt(n) * z_max)
+    image = matrix.image()
+    with np.errstate(over="ignore"):
+        ratios = np.ones(n) if w is None else w / w[np.array(image) - 1]
+        norm = float(np.linalg.norm(ratios))
+    if not math.isfinite(norm):
+        i = int(np.argmax(ratios))
+        raise WeightOutOfRange(
+            f"weights {i + 1} and {image[i]} put the weighted matrix out of double range: its entry "
+            f"sqrt(w{i + 1}/w{image[i]}) is {ratios[i]} and its Frobenius norm {norm}"
+        )
+    return _DELTA_C * n * _UNIT_ROUNDOFF * (norm + math.sqrt(n) * z_max)
 
 
 def sigma_ap_eps(
@@ -369,7 +439,25 @@ def sigma_ap_eps(
     Frobenius norm, and the LAPACK SVD adds at most p(n)*u*||A||_2 (LAPACK
     Users' Guide, section 4.9); c*n leaves room for p(n) up to 32n, for
     the formation error and for the rounding of the two disk tests, whose
-    operands are at most a few times ||B~||_F + max|z|.
+    operands are at most a few times ||B~||_F + max|z|.  Weights whose
+    doubles are 0 or infinite, or that put an entry of B~ or delta out of
+    double range, raise :class:`WeightOutOfRange` before any SVD.
+
+    Both stacked passes split the matrix over the weakly connected
+    components of the map's functional graph.  Row i of K_F has its 1 in
+    column F(i), in the component of i, so after a permutation B~ - zI is
+    block-diagonal and sigma_inf(z) is the least over the components of
+    the smallest singular value of the block on the component's indices:
+    one stacked m x m SVD per component instead of one N x N SVD.  Each
+    block's entries are the full matrix's, formed the same way (subtract
+    zI, then weight).  The delta of the full matrix bounds the error of
+    every block's computed value, since a block is no larger in n or in
+    ||B~||_F, so the block minimum is within delta of sigma_min(B~ - zI)
+    too, and the disk rules hold for it as they stand.  It may still
+    differ from the reference value by up to 2*delta, so a second-pass
+    point whose block minimum lies within 2*delta of eps is decided by the
+    full-matrix SVD instead.  A map with one component is one block, the
+    full matrix, and needs no such fallback.
     """
     if not (math.isfinite(eps) and eps > 0):
         raise ValueError(f"eps must be a positive finite number, got {eps}")
@@ -377,7 +465,7 @@ def sigma_ap_eps(
     check_budget(f"sigma_ap_eps[N={n}]", grid.size * n**3, "grid points x N^3", AP_EPS_BUDGET)
     if grid.spacing > eps / 4:
         raise GridTooCoarse(f"spacing {grid.spacing} exceeds eps/4 = {eps / 4}")
-    spectrum = sigma_ap(matrix, weights)
+    spectrum, component = _spectrum_and_components(matrix)
     for lam in spectrum.points:
         if not (
             grid.re_lo <= lam.real - eps
@@ -387,13 +475,22 @@ def sigma_ap_eps(
         ):
             raise GridTooCoarse(f"grid does not cover {lam} with an eps margin")
     re, im = grid._axes()
+    slack = 2 * _svd_error_bound(matrix, weights, math.hypot(np.abs(re).max(), np.abs(im).max()))
+    labels = np.array(component)
+    blocks = [np.flatnonzero(labels == k) for k in range(labels.max() + 1)] if labels.max() else [None]
+
+    def sigma(zs: list[complex], parts: list) -> np.ndarray:
+        """Per z, the least computed sigma_inf over the parts (None: the full matrix)."""
+        return np.min([
+            np.concatenate([values for _, values in _sigma_inf_many(matrix, zs, weights, part)])
+            for part in parts
+        ], axis=0)
+
     row_anchors, row_lo, row_hi = _axis_anchors(len(re))
     col_anchors, col_lo, col_hi = _axis_anchors(len(im))
     anchor_im = im[col_anchors].tolist()
-    anchors = (complex(x, y) for x in re[row_anchors].tolist() for y in anchor_im)
-    s0 = np.concatenate([values for _, values in _sigma_inf_many(matrix, anchors, weights)])
+    s0 = sigma([complex(x, y) for x in re[row_anchors].tolist() for y in anchor_im], blocks)
     s0 = s0.reshape(len(row_anchors), len(col_anchors))
-    slack = 2 * _svd_error_bound(matrix, weights, math.hypot(np.abs(re).max(), np.abs(im).max()))
     col_offsets = [(c, im - im[col_anchors[c]]) for c in (col_lo, col_hi)]
     rows = max(1, _CHUNK_ENTRIES // len(im))
     kept = []
@@ -410,9 +507,13 @@ def sigma_ap_eps(
                 drop |= s - reach > eps
         i, j = np.nonzero(~(keep | drop))
         if len(i):
-            open_points = map(complex, x[i].tolist(), im[j].tolist())
-            values = [v for _, v in _sigma_inf_many(matrix, open_points, weights)]
-            keep[i, j] = np.concatenate(values) <= eps
+            open_points = list(map(complex, x[i].tolist(), im[j].tolist()))
+            values = sigma(open_points, blocks)
+            if len(blocks) > 1:
+                near = np.flatnonzero(np.abs(values - eps) <= slack)
+                if len(near):
+                    values[near] = sigma([open_points[k] for k in near], [None])
+            keep[i, j] = values <= eps
         i, j = np.nonzero(keep)
         kept.extend(map(complex, x[i].tolist(), im[j].tolist()))
     kept.extend(spectrum.points)

@@ -461,3 +461,31 @@ class TestJsonEncoding:
 
         encoded = to_jsonable({"q": Fraction(3, 4), "z": 1 + 2j, "t": (1, None)})
         assert encoded == {"q": "3/4", "z": [1.0, 2.0], "t": [1, None]}
+
+
+WEIGHTS_OUT_OF_RANGE = {
+    "double-is-zero": ("1e-400,1", "weight 1 of 2 is out of double range: its double is 0.0"),
+    "double-is-inf": ("1,1e400", "weight 2 of 2 is out of double range: its double is inf"),
+    "norm-overflows": ("1e-200,1e200", "weights 2 and 1 put the weighted matrix out of double range"),
+    "entry-overflows": ("1e-320,1e300", "weights 2 and 1 put the weighted matrix out of double range"),
+}
+
+
+@pytest.mark.parametrize("weights,message", WEIGHTS_OUT_OF_RANGE.values(), ids=WEIGHTS_OUT_OF_RANGE.keys())
+def test_apeps_weights_out_of_double_range_exit_2_before_any_svd(weights, message, monkeypatch, capsys):
+    import warnings
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("SVD work started")
+
+    monkeypatch.setattr(kp.np.linalg, "svd", no_work)
+    argv = ["--json", "koopman", "finite", "--map", "2,1", "--weights", weights, "--target", "apeps",
+            "--epsilon", "0.5", "--grid", "-1.5", "1.5", "-1.5", "1.5", "0.1"]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(argv) == 2
+    assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"bad argument value: {message}")
+    assert "Traceback" not in captured.err and "RuntimeWarning" not in captured.err
+    assert captured.out == ""

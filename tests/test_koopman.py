@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 
 from sci_workbench import koopman as kp
 from sci_workbench.core import DEFAULT_BUDGET, run_algorithm
-from sci_workbench.errors import BadGrid, BudgetExceeded, EmptySet, GridTooCoarse
+from sci_workbench.errors import BadGrid, BudgetExceeded, EmptySet, GridTooCoarse, WeightOutOfRange
 
 
 def all_tables(n):
@@ -437,3 +438,295 @@ class TestGridPreflight:
         assert (n_re + 1) * (n_im + 1) == DEFAULT_BUDGET
         with pytest.raises(BadGrid):
             kp.GridSpec(0, side, 0, side - 1, 1.0)
+
+
+def reference_components(image):
+    """Index arrays of the weakly connected components of i -> F(i), by union-find."""
+    parent = list(range(len(image)))
+
+    def root(i):
+        while parent[i] != i:
+            i = parent[i]
+        return i
+
+    for i, f in enumerate(image):
+        parent[root(i)] = root(f - 1)
+    roots = [root(i) for i in range(len(image))]
+    return [np.flatnonzero(np.array(roots) == r) for r in sorted(set(roots), key=roots.index)]
+
+
+def reference_block_sigma_inf(matrix, z, weights, index):
+    """One SVD of the diagonal block on ``index``: subtract zI, then weight."""
+    a = np.array(matrix.entries, dtype=complex)[np.ix_(index, index)] - complex(z) * np.eye(len(index))
+    if weights is not None:
+        w = np.sqrt(np.array([float(x) for x in weights]))[index]
+        a = (a * w[:, None]) / w[None, :]
+    return float(np.linalg.svd(a, compute_uv=False)[-1])
+
+
+def reference_block_minimum(matrix, z, weights):
+    return min(reference_block_sigma_inf(matrix, z, weights, index)
+               for index in reference_components(matrix.image()))
+
+
+def union_of_cycles_with_tails(parts, tail_targets, relabel):
+    """A map whose components are the given (cycle length, tail count) parts.
+
+    Tail node t of a part maps to an earlier node of the same part, picked by
+    ``tail_targets``; ``relabel`` (a permutation of 1..N) interleaves the parts.
+    """
+    image = []
+    targets = iter(tail_targets)
+    for cycle, tail in parts:
+        base = len(image)
+        image += [base + (k + 1) % cycle + 1 for k in range(cycle)]
+        for _ in range(tail):
+            image.append(base + next(targets) % (len(image) - base) + 1)
+    relabelled = [0] * len(image)
+    for i, f in enumerate(image):
+        relabelled[relabel[i] - 1] = relabel[f - 1]
+    return tuple(relabelled)
+
+
+@st.composite
+def multi_component_cases(draw):
+    parts = draw(st.lists(st.tuples(st.integers(1, 4), st.integers(0, 3)), min_size=2, max_size=4))
+    n = sum(cycle + tail for cycle, tail in parts)
+    tail_targets = draw(st.lists(st.integers(0, 64), min_size=n, max_size=n))
+    relabel = draw(st.permutations(range(1, n + 1)))
+    image = union_of_cycles_with_tails(parts, tail_targets, relabel)
+    weights = draw(st.none() | st.lists(
+        st.fractions(min_value=Fraction(1, 8), max_value=8), min_size=n, max_size=n
+    ).map(tuple))
+    return kp.koopman_matrix(kp.uniform_space(n), kp.MapTable(image)), weights
+
+
+def boundary_grid(eps0, stretch_re=0.0, stretch_im=0.0):
+    """A grid valid for every eps in [eps0, 1.25*eps0] around the closed unit disk."""
+    reach = 1 + eps0 + eps0 / 4
+    return kp.GridSpec(-reach, reach + stretch_re, -reach - stretch_im, reach, eps0 / 4)
+
+
+def record_svd_stacks(monkeypatch):
+    """Patch np.linalg.svd to record every stacked input it is given."""
+    stacks = []
+    svd = np.linalg.svd
+
+    def recorded(stack, *args, **kwargs):
+        stacks.append(np.array(stack))
+        return svd(stack, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", recorded)
+    return stacks
+
+
+def full_matrix_points(stacks, matrix):
+    """The z of every N x N matrix SVD'd, read off a diagonal entry 0 - z (unweighted maps)."""
+    n = matrix.size
+    i = next(k for k, f in enumerate(matrix.image()) if f != k + 1)
+    return [complex(-a[i, i]) for stack in stacks if stack.shape[-1] == n for a in stack]
+
+
+class TestComponentSplit:
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 40).flatmap(lambda n: st.lists(st.integers(1, n), min_size=n, max_size=n)))
+    def test_components_come_from_the_cycle_walk(self, image):
+        lengths, has_tail, component = kp._cycle_lengths(tuple(image))
+        labels = np.array(component)
+        blocks = [np.flatnonzero(labels == k) for k in range(labels.max() + 1)]
+        assert [b.tolist() for b in sorted(blocks, key=lambda b: b[0])] == \
+            [b.tolist() for b in reference_components(image)]
+        assert len(blocks) <= len(image) and len(lengths) <= len(blocks)
+
+    @settings(max_examples=40, deadline=None)
+    @given(multi_component_cases(), st.integers(0, 2**32 - 1))
+    def test_block_values_equal_per_point_block_svd_bit_for_bit(self, case, seed):
+        matrix, weights = case
+        rng = random.Random(seed)
+        zs = [0j, 1 + 0j, -1 + 0j, 1j] + [complex(rng.uniform(-2, 2), rng.uniform(-2, 2)) for _ in range(8)]
+        for index in reference_components(matrix.image()):
+            values = [float(v) for _, vs in kp._sigma_inf_many(matrix, zs, weights, index) for v in vs]
+            assert values == [reference_block_sigma_inf(matrix, z, weights, index) for z in zs]
+        whole = np.arange(matrix.size)
+        assert [v for _, vs in kp._sigma_inf_many(matrix, zs, weights, whole) for v in vs] == \
+            [v for _, vs in kp._sigma_inf_many(matrix, zs, weights) for v in vs]
+
+    def test_block_values_on_a_fixed_weighted_map(self):
+        image = (4, 11, 1, 4, 8, 5, 5, 7, 2, 6, 2)
+        weights = tuple(Fraction(k % 8 + 1, k % 3 + 1) for k in range(len(image)))
+        matrix = kp.koopman_matrix(kp.uniform_space(len(image)), kp.MapTable(image))
+        zs = literal_points(boundary_grid(0.5))[::7]
+        for index in reference_components(image):
+            values = [float(v) for _, vs in kp._sigma_inf_many(matrix, zs, weights, index) for v in vs]
+            assert values == [reference_block_sigma_inf(matrix, z, weights, index) for z in zs]
+
+    @settings(max_examples=25, deadline=None)
+    @given(multi_component_cases(), st.sampled_from([1.0, 0.75]), st.floats(0, 0.5), st.floats(0, 0.5),
+           st.integers(0, 2**16), st.booleans())
+    def test_kept_set_equals_per_point_reference_at_the_boundary(
+        self, case, eps0, stretch_re, stretch_im, pick, ulp_below
+    ):
+        # eps is the full-matrix value of one grid point, or one ulp below it,
+        # where the block minimum and the full-matrix SVD may round apart
+        matrix, weights = case
+        grid = boundary_grid(eps0, stretch_re, stretch_im)
+        values = [reference_sigma_inf(matrix, z, weights) for z in literal_points(grid)]
+        inner = [v for v in values if eps0 < v <= 1.25 * eps0]
+        eps = inner[pick % len(inner)] if inner else eps0
+        if ulp_below and inner:
+            eps = math.nextafter(eps, 0)
+        assert kp.sigma_ap_eps(matrix, eps, grid, weights).points == \
+            reference_ap_eps(matrix, eps, grid, weights, values)
+
+    @pytest.mark.parametrize("image", [(2, 1, 4, 5, 3), (2, 1, 3, 5, 6, 4), (2, 3, 1, 5, 4, 7, 6, 8)])
+    def test_sigma_inf_equals_eps_at_a_grid_point(self, image):
+        # an unweighted permutation is unitary: sigma_inf(0) = 1, and z = 0 is a grid point
+        matrix = kp.koopman_matrix(kp.uniform_space(len(image)), kp.MapTable(image))
+        grid = boundary_grid(1.0)
+        assert 0j in literal_points(grid)
+        assert reference_sigma_inf(matrix, 0j) == pytest.approx(1.0, abs=1e-15)
+        approx = kp.sigma_ap_eps(matrix, 1.0, grid)
+        assert approx.points == reference_ap_eps(matrix, 1.0, grid, None)
+        assert (0j in approx.points) == (reference_sigma_inf(matrix, 0j) <= 1.0)
+
+    def test_points_where_blocks_and_full_matrix_round_apart(self):
+        # eps = min(block minimum, full value) at a point where the two differ:
+        # without the full-matrix fallback the split decides that point wrongly
+        image = (4, 11, 1, 4, 8, 5, 5, 7, 2, 6, 2)  # components of 6, 3 and 2 points
+        weights = tuple(Fraction(k % 8 + 1, k % 3 + 1) for k in range(len(image)))
+        matrix = kp.koopman_matrix(kp.uniform_space(len(image)), kp.MapTable(image))
+        grid = boundary_grid(0.5)
+        split = []
+        for z in literal_points(grid):
+            full, block = reference_sigma_inf(matrix, z, weights), reference_block_minimum(matrix, z, weights)
+            if 0.5 < min(full, block) <= 0.625 and full != block:
+                split.append(min(full, block))
+        assert len(split) >= 10
+        for eps in split[::len(split) // 5]:
+            assert kp.sigma_ap_eps(matrix, eps, grid, weights).points == reference_ap_eps(matrix, eps, grid, weights)
+
+    def test_second_pass_points_within_2delta_of_eps_get_the_full_svd(self, monkeypatch):
+        # eps sits 1.5*delta above the block minimum of a point: the block value
+        # alone cannot decide it, so the full N x N SVD must
+        image = union_of_cycles_with_tails([(3, 2), (4, 1), (2, 2)], range(16), (
+            7, 2, 12, 1, 9, 4, 13, 6, 11, 3, 14, 5, 8, 10))
+        matrix = kp.koopman_matrix(kp.uniform_space(len(image)), kp.MapTable(image))
+        assert len(reference_components(image)) == 3
+        grid = boundary_grid(0.5)
+        z, value = next((z, v) for z in literal_points(grid)
+                        if 0.55 < (v := reference_block_minimum(matrix, z, None)) < 0.6)
+        eps = value + 1.5 * kp._svd_error_bound(matrix, None, math.hypot(grid.re_hi, grid.im_hi))
+        expected = reference_ap_eps(matrix, eps, grid, None)
+        stacks = record_svd_stacks(monkeypatch)
+        assert kp.sigma_ap_eps(matrix, eps, grid).points == expected
+        assert z in full_matrix_points(stacks, matrix)
+        assert len(full_matrix_points(stacks, matrix)) <= 4
+
+    def test_split_cuts_svd_work_and_full_svds_run_only_at_fallback_points(self, monkeypatch):
+        # seeded N = 32 map of three components; SVD work counted as the sum of m^3
+        rng = random.Random(32)
+        parts = [(5, 9), (3, 8), (2, 5)]
+        image = union_of_cycles_with_tails(parts, [rng.randrange(64) for _ in range(22)],
+                                           rng.sample(range(1, 33), 32))
+        matrix = kp.koopman_matrix(kp.uniform_space(32), kp.MapTable(image))
+        assert sorted(map(len, reference_components(image))) == [7, 11, 14]
+        eps = 0.5
+        grid = boundary_grid(eps)
+        expected = reference_ap_eps(matrix, eps, grid, None)
+        stacks = record_svd_stacks(monkeypatch)
+        assert kp.sigma_ap_eps(matrix, eps, grid).points == expected
+        monkeypatch.undo()
+        points = sum(len(s) for s in stacks if s.shape[-1] == 14)  # every point SVD'd once per block
+        work = sum(len(s) * s.shape[-1] ** 3 for s in stacks)
+        assert 0 < points <= len(literal_points(grid)) // 2
+        assert work <= points * 32**3 / 2
+        slack = 2 * kp._svd_error_bound(matrix, None, math.hypot(grid.re_hi, grid.im_hi))
+        for z in full_matrix_points(stacks, matrix):
+            assert abs(reference_block_minimum(matrix, z, None) - eps) <= slack
+
+
+class TestFinitePoints:
+    BAD = [complex(math.nan, 0), complex(0, math.nan), complex(math.inf, 0), complex(-math.inf, 1),
+           complex(0, -math.inf), math.nan, math.inf]
+
+    @pytest.mark.parametrize("bad", BAD)
+    def test_compact_set_refuses_a_non_finite_point(self, bad):
+        with pytest.raises(ValueError, match=re.escape(str(bad))):
+            kp.CompactSetApprox((0j, bad))
+
+    @pytest.mark.parametrize("bad", BAD)
+    def test_raw_point_tuples_refuse_a_non_finite_point(self, bad):
+        with pytest.raises(ValueError, match=re.escape(str(bad))):
+            kp.hausdorff((0j,), (bad,))
+        with pytest.raises(ValueError, match=re.escape(str(bad))):
+            kp.hausdorff((bad, 1j), kp.CompactSetApprox((0j,)))
+
+    def test_the_same_nan_object_is_not_at_distance_zero(self):
+        nan = complex(math.nan, 0)
+        with pytest.raises(ValueError):
+            kp.hausdorff((nan,), (nan,))
+
+
+class TestEqualSetShortCircuit:
+    def test_equal_tuples_skip_the_pairwise_pass(self, monkeypatch):
+        approx = kp.sigma_ap_eps(kp.koopman_matrix(kp.uniform_space(3), kp.MapTable((2, 3, 1))),
+                                 0.25, kp.GridSpec(-1.4, 1.4, -1.4, 1.4, 0.0625))
+        copy = kp.CompactSetApprox(tuple(complex(z.real, z.imag) for z in approx.points))
+        assert reference_hausdorff(approx, copy) == 0.0
+
+        def no_pass(*args):
+            raise AssertionError("pairwise pass ran")
+
+        monkeypatch.setattr(kp.np, "hypot", no_pass)
+        assert kp.hausdorff(approx, copy) == 0.0
+        assert kp.hausdorff(approx.points, list(copy.points)) == 0.0
+        with pytest.raises(AssertionError, match="pairwise pass ran"):
+            kp.hausdorff(approx, kp.CompactSetApprox(approx.points[1:]))
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(st.complex_numbers(max_magnitude=1e6, allow_nan=False, allow_infinity=False),
+                    min_size=1, max_size=30))
+    def test_equal_sets_match_the_double_loop(self, xs):
+        a = kp.CompactSetApprox(tuple(xs))
+        b = kp.CompactSetApprox(tuple(complex(-0.0 if z.real == 0 else z.real, z.imag) for z in xs))
+        assert kp.hausdorff(a, b) == reference_hausdorff(a, b) == 0.0
+
+
+class TestMatrixBuild:
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 40).flatmap(lambda n: st.lists(st.integers(1, n), min_size=n, max_size=n)))
+    def test_entries_and_array_match_the_comprehension(self, image):
+        n = len(image)
+        matrix = kp.koopman_matrix(kp.uniform_space(n), kp.MapTable(tuple(image)))
+        entries = tuple(tuple(1 if j == image[i - 1] else 0 for j in range(1, n + 1)) for i in range(1, n + 1))
+        assert matrix.entries == entries
+        assert all(type(v) is int for row in matrix.entries for v in row)
+        assert matrix.image() == tuple(image)
+        array, reference = matrix.as_array(), np.array(entries, dtype=complex)
+        assert array.dtype == reference.dtype and array.tobytes() == reference.tobytes()
+
+    @pytest.mark.parametrize("rows", [((0, 0), (0, 1)), ((2, -1), (0, 1)), ((1, 1), (1, 0)),
+                                      ((1, 0, 0), (0, 2, 0), (0, 0, 1)), ((1, 0), (0, 1, 5)),
+                                      ((0, 1, 0),), ((1, 0), (0, 1), (1, 0))])
+    def test_rows_that_select_no_single_column_are_refused(self, rows):
+        with pytest.raises(ValueError, match="each row selects exactly one column"):
+            kp.KoopmanMatrix(rows)
+
+
+class TestWeightRange:
+    @pytest.mark.parametrize("weights,message", [
+        ((Fraction(1, 10**400), Fraction(1)), "weight 1 of 2 is out of double range: its double is 0.0"),
+        ((Fraction(1), Fraction(10**400)), "weight 2 of 2 is out of double range: its double is inf"),
+        ((Fraction(1, 10**200), Fraction(10**200)), "weights 2 and 1 put the weighted matrix out of double range"),
+    ])
+    def test_refused_before_any_svd(self, weights, message, monkeypatch):
+        def no_work(*args, **kwargs):
+            raise AssertionError("SVD work started")
+
+        monkeypatch.setattr(np.linalg, "svd", no_work)
+        matrix = kp.koopman_matrix(kp.uniform_space(2), kp.MapTable((2, 1)))
+        with pytest.raises(WeightOutOfRange, match=re.escape(message)):
+            kp.sigma_ap_eps(matrix, 0.5, kp.GridSpec(-1.5, 1.5, -1.5, 1.5, 0.1), weights)
+        if "matrix" not in message:
+            with pytest.raises(WeightOutOfRange, match=re.escape(message)):
+                kp.sigma_inf(matrix, 0j, weights)
