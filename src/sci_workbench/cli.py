@@ -230,9 +230,22 @@ def build_parser() -> _Parser:
     return parser
 
 
+def _sine_in_double_range(args, func) -> None:
+    """A sine is evaluated in doubles, so refuse an ``--interval`` endpoint that has none."""
+    if isinstance(func, ig.Sine):
+        for label, text in zip("AB", args.interval):
+            try:
+                float(_fraction(text))
+            except OverflowError:
+                raise ValueError(
+                    f"--interval {label} = {text} is out of double range, which a sine function needs"
+                ) from None
+
+
 def _cmd_integrate_tower(args, seed):
     iv = ig.Interval(_fraction(args.interval[0]), _fraction(args.interval[1]))
     func = parse_function_spec(args.function)
+    _sine_in_double_range(args, func)
     problem = ig.make_problem(iv, (func,))
     tower = ig.rectangle_tower(iv)
     value = evaluate_tower(tower, (args.n,), problem, func)
@@ -533,6 +546,7 @@ def _cmd_reduce_compose(args, seed):
 def _cmd_reduce_pullback(args, seed):
     iv = ig.Interval(_fraction(args.interval[0]), _fraction(args.interval[1]))
     func = parse_function_spec(args.function)
+    _sine_in_double_range(args, func)
     unit = ig.make_problem(ig.interval(0, 1), (func,))
     member = ig.make_problem(iv)
     reduction = ig.affine_reduction(member, unit)
@@ -632,10 +646,18 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (ValueError, OverflowError) as exc:  # OverflowError: a rational out of double range
         print(f"bad argument value: {exc}", file=sys.stderr)
         return 2
-    if "--json" in argv:
-        print(json.dumps(to_jsonable(report), indent=2, sort_keys=True))
-    else:
-        _print_human(report)
+    try:
+        if "--json" in argv:
+            print(json.dumps(to_jsonable(report), indent=2, sort_keys=True))
+        else:
+            _print_human(report)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed the pipe (``| head``, say); send the unflushed rest to
+        # the null device, so the exit flush does not fail again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
     return 0 if report.passed else 1
 
 

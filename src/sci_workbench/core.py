@@ -11,7 +11,7 @@ A protocol asks its queries in rounds: each :class:`Ask` names the ids of
 one round and receives their answers together.  A non-adaptive algorithm
 (see :func:`fixed_query_algorithm`) asks one round; an adaptive one chooses
 each later round from the answers to the earlier ones.
-:func:`run_algorithm` answers each round in one pass over its ids.
+:func:`run_algorithm` answers each round with one :meth:`QueryFamily.answer`.
 
 Limits are never computed.  Towers are evaluated at finite multi-indices,
 and :func:`probe_convergence` reports finite-stage stabilization instead.
@@ -103,6 +103,10 @@ class QueryFamily:
             if evaluate is not None:
                 return Query(query_id, evaluate)
         raise UnknownQuery(f"{query_id!r} is not a member of {self.name}")
+
+    def answer(self, query_ids: Iterable[QueryId], input) -> tuple:
+        """Answer one round on ``input``: one resolve and one evaluation per id, in order."""
+        return tuple([self.resolve(qid).evaluate(input) for qid in query_ids])
 
     def __contains__(self, query_id: QueryId) -> bool:
         return self._resolver is not None and self._resolver(query_id) is not None
@@ -253,13 +257,13 @@ def run_algorithm(alg: GeneralAlgorithm, problem: Problem, input) -> tuple[Any, 
 
     Each yielded :class:`Ask` must name at least one id.  A round that would
     take the run over its budget is refused before any of its ids is
-    resolved; otherwise its ids are resolved and answered in order in one
-    pass and the answers are sent back as one tuple.  The result is the
+    resolved; otherwise one :meth:`QueryFamily.answer` call answers it and
+    the answers are sent back as one tuple.  The result is the
     output with the exact ordered trace, and repeated runs are bit-identical.
     """
     if not problem.inputs.admits(input):
         raise ValueError(f"input {input!r} is not admissible for {problem.name}")
-    resolve = problem.queries.resolve
+    answer = problem.queries.answer
     run = alg.protocol()
     ids: list[QueryId] = []
     values: list = []
@@ -277,7 +281,7 @@ def run_algorithm(alg: GeneralAlgorithm, problem: Problem, input) -> tuple[Any, 
             raise ProtocolViolation(f"{alg.name} emitted {step!r}, expected a nonempty Ask")
         if len(ids) + len(step.query_ids) > alg.budget:
             raise BudgetExceeded(f"{alg.name} exceeded its budget of {alg.budget} queries")
-        answers = tuple([resolve(qid).evaluate(input) for qid in step.query_ids])
+        answers = answer(step.query_ids, input)
         ids += step.query_ids
         values += answers
 
@@ -300,8 +304,8 @@ def check_locality(alg: GeneralAlgorithm, problem: Problem, input_a, input_b) ->
     input), so a failure indicates a protocol that leaks input identity.
     """
     out_a, trace_a = run_algorithm(alg, problem, input_a)
-    for qid, value in trace_a.steps:
-        if problem.queries.resolve(qid).evaluate(input_b) != value:
+    for (qid, want), got in zip(trace_a.steps, problem.queries.answer(trace_a.ids, input_b)):
+        if got != want:
             return LocalityReport(True, False, f"inputs disagree on {qid!r}; implication is vacuous")
     out_b, trace_b = run_algorithm(alg, problem, input_b)
     if trace_b.ids != trace_a.ids:
@@ -418,8 +422,6 @@ def finite_query_factorization(problem: Problem, query_ids: Sequence[QueryId], t
     ids = tuple(query_ids)
     if not ids:
         raise ValueError("a factorization needs at least one query")
-    queries = [problem.queries.resolve(qid) for qid in ids]
-
     if callable(table):
         lookup = table
     else:
@@ -431,7 +433,7 @@ def finite_query_factorization(problem: Problem, query_ids: Sequence[QueryId], t
 
     distance = problem.output_space.distance
     for member in problem.inputs:
-        key = tuple(q.evaluate(member) for q in queries)
+        key = problem.queries.answer(ids, member)
         produced = lookup(key)
         if distance(problem.target(member), produced) != 0:
             raise FactorizationMismatch(

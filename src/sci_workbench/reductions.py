@@ -89,22 +89,18 @@ class QueryPlan:
 
     Plans are rule-based rather than extensional because target families may
     be infinite.  ``rule`` returns ``None`` for ids it does not cover.
+    :meth:`entry` is the one coverage rule: a target query needs a nonempty
+    block of source queries, so an uncovered id and an empty block are gaps.
     """
 
     def __init__(self, name: str, rule: Callable[[QueryId], PlanEntry | None]):
         self.name = name
         self.rule = rule
 
-    def entry(self, query_id: QueryId) -> PlanEntry:
+    def entry(self, query_id: QueryId) -> PlanEntry | None:
+        """The rule's entry for ``query_id``, or ``None`` for a gap."""
         entry = self.rule(query_id)
-        if entry is None:
-            raise PlanGap(f"plan {self.name} does not cover query {query_id!r}")
-        if entry.width < 1:
-            raise PlanGap(f"plan {self.name} produced an empty block for {query_id!r}")
-        return entry
-
-    def covers(self, query_id: QueryId) -> bool:
-        return self.rule(query_id) is not None
+        return entry if entry is not None and entry.source_ids else None
 
 
 @dataclass(frozen=True)
@@ -119,19 +115,19 @@ class Reduction:
     plan: QueryPlan
 
 
-def _blockwise(entries) -> Callable[[tuple], tuple]:
-    """Map the concatenated block answers of ``entries`` to one combined value per entry."""
+def _blockwise(entries) -> tuple[tuple[QueryId, ...], Callable[[tuple], tuple]]:
+    """Concatenated source ids of ``entries``, and the split of their answers into one value per entry."""
+    source_ids: list[QueryId] = []
     spans = []
-    lo = 0
     for entry in entries:
-        hi = lo + len(entry.source_ids)
-        spans.append((entry.combine, lo, hi))
-        lo = hi
+        lo = len(source_ids)
+        source_ids += entry.source_ids
+        spans.append((entry.combine, lo, len(source_ids)))
 
     def split(values: tuple) -> tuple:
         return tuple([combine(values[lo:hi]) for combine, lo, hi in spans])
 
-    return split
+    return tuple(source_ids), split
 
 
 def _take_first(values: tuple):
@@ -162,8 +158,9 @@ def compose(first: Reduction, second: Reduction) -> Reduction:
 
     Each target query of P expands through ``second``'s plan into queries of
     Q, and each of those through ``first``'s plan into queries of R; the
-    composed width is the blockwise sum of the inner widths and the combiner
-    substitutes inner combiners into the outer one.
+    composed width is the blockwise sum of the inner widths, the combiner
+    substitutes inner combiners into the outer one, and a gap in either
+    plan stays a gap.
     """
     if first.target is not second.source:
         raise ProblemMismatch(
@@ -183,18 +180,18 @@ def compose(first: Reduction, second: Reduction) -> Reduction:
         return _d1(_d2(y))
 
     def rule(query_id: QueryId):
-        outer = second.plan.rule(query_id)
+        outer = second.plan.entry(query_id)
         if outer is None:
             return None
         blocks = []
         for mid_id in outer.source_ids:
-            inner = first.plan.rule(mid_id)
+            inner = first.plan.entry(mid_id)
             if inner is None:
                 return None
             blocks.append(inner)
-        source_ids = tuple(sid for block in blocks for sid in block.source_ids)
+        source_ids, split = _blockwise(blocks)
 
-        def combine(values: tuple, _split=_blockwise(blocks), _outer=outer.combine):
+        def combine(values: tuple, _split=split, _outer=outer.combine):
             return _outer(_split(values))
 
         return PlanEntry(source_ids, combine)
@@ -255,17 +252,18 @@ def verify_reduction(
 ) -> VerificationReport:
     """Sample catalog inputs and plan-covered queries against the two defining equations.
 
-    Query answers that compare equal are settled by that comparison: their
-    gap is 0, so they can neither fail nor raise ``max_discrepancy``.
-    Unequal numeric answers add their gap to ``max_discrepancy``; exact
-    numbers must agree exactly, numbers involving floating point within
-    ``tol``.  Other unequal answers (tuples, say) fail.  Targets compare
-    through the output distance in the same way as numbers.  A NaN gap,
-    of a query or of a target, is a failure and leaves ``max_discrepancy``
-    finite.  An encoded input the target does not admit counts as a
-    target failure and ends that sample.  Failures are report content,
-    never exceptions.  More than ``DEFAULT_BUDGET`` sampled queries raise
-    :class:`BudgetExceeded` before any sampling.
+    Each admitted sample asks two rounds: the covered sampled target ids on
+    the encoded input, and their concatenated plan blocks on the source
+    input.  A plan gap is a query failure.  Equal query answers are settled
+    by that comparison.  Unequal numeric answers add their gap to
+    ``max_discrepancy``; exact numbers must agree exactly, numbers involving
+    floating point within ``tol``.  Other unequal answers (tuples, say)
+    fail.  Targets compare through the output distance in the same way as
+    numbers.  A NaN gap, of a query or of a target, is a failure and leaves
+    ``max_discrepancy`` finite.  An encoded input the target does not admit
+    counts as a target failure and ends that sample.  Failures are report
+    content, never exceptions.  More than ``DEFAULT_BUDGET`` sampled queries
+    raise :class:`BudgetExceeded` before any sampling.
     """
     if sample_count < 1:
         raise ValueError("sample_count must be >= 1")
@@ -293,16 +291,12 @@ def verify_reduction(
         if _mismatch(want, got, gap, tol):
             target_failures += 1
 
-        for query_id in target.queries.sample_ids(rng, queries_per_sample):
-            entry = reduction.plan.rule(query_id)
-            if entry is None:
-                query_failures += 1
-                continue
-            want_q = target.queries.resolve(query_id).evaluate(encoded)
-            answers = tuple(
-                source.queries.resolve(sid).evaluate(a) for sid in entry.source_ids
-            )
-            got_q = entry.combine(answers)
+        sampled = target.queries.sample_ids(rng, queries_per_sample)
+        covered = [(qid, entry) for qid in sampled if (entry := reduction.plan.entry(qid)) is not None]
+        query_failures += len(sampled) - len(covered)
+        source_ids, split = _blockwise([entry for _, entry in covered])
+        wanted = target.queries.answer([qid for qid, _ in covered], encoded)
+        for want_q, got_q in zip(wanted, split(source.queries.answer(source_ids, a))):
             if want_q == got_q:
                 continue
             if isinstance(want_q, Number) and isinstance(got_q, Number):
@@ -324,6 +318,10 @@ def verify_reduction(
     )
 
 
+def _gap(plan: QueryPlan, query_id: QueryId):
+    raise PlanGap(f"plan {plan.name} has no nonempty block for query {query_id!r}")
+
+
 def pullback_algorithm(reduction: Reduction, algorithm: GeneralAlgorithm) -> GeneralAlgorithm:
     """Simulate a target-problem algorithm on the source through the query plan.
 
@@ -332,8 +330,8 @@ def pullback_algorithm(reduction: Reduction, algorithm: GeneralAlgorithm) -> Gen
     concatenated blocks, and each block's combiner answers its target query.
     The output is the decoded target output.  The source trace is the
     concatenation of the blocks, so it stays a pure function of the source
-    answers and locality is preserved.  A :class:`PlanGap` is raised when
-    its round is asked.
+    answers and locality is preserved.  A round holding a plan gap (see
+    :meth:`QueryPlan.entry`) raises :class:`PlanGap` when it is asked.
     """
     plan = reduction.plan
     decode = reduction.decoder.map
@@ -349,9 +347,9 @@ def pullback_algorithm(reduction: Reduction, algorithm: GeneralAlgorithm) -> Gen
             if not isinstance(step, Ask):
                 answers = yield step  # passed through; run_algorithm rejects it
                 continue
-            entries = [plan.entry(qid) for qid in step.query_ids]
-            source_ids = [sid for entry in entries for sid in entry.source_ids]
-            answers = _blockwise(entries)((yield Ask(*source_ids)))
+            entries = [plan.entry(qid) or _gap(plan, qid) for qid in step.query_ids]
+            source_ids, split = _blockwise(entries)
+            answers = split((yield Ask(*source_ids)))
 
     name = f"pullback[{algorithm.name}|{reduction.name}]"
     return GeneralAlgorithm(name, protocol, max(algorithm.budget, DEFAULT_BUDGET))

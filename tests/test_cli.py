@@ -1,7 +1,10 @@
 import json
 import math
+import os
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -243,6 +246,35 @@ def test_rational_out_of_double_range_exits_2(argv, capsys):
     captured = capsys.readouterr()
     assert captured.err.startswith("bad argument value: ") and "Traceback" not in captured.err
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("command", ["integrate-tower", "reduce-pullback"])
+@pytest.mark.parametrize("a, b, named", [("0", "1e400", "B = 1e400"), ("-1e400", "0", "A = -1e400")])
+def test_sine_endpoint_out_of_double_range_is_named(command, a, b, named, capsys):
+    argv = list(OUT_OF_DOUBLE_RANGE[command])
+    at = argv.index("--interval")
+    argv[at + 1 : at + 3] = [a, b]
+    assert main(["--json", *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == (
+        f"bad argument value: --interval {named} is out of double range, which a sine function needs\n"
+    )
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("json_flag", [["--json"], []], ids=["json", "human"])
+def test_closed_stdout_exits_cleanly(json_flag):
+    # the read end is closed before the command starts, so its first write meets a broken pipe
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]))
+    argv = [sys.executable, "-m", "sci_workbench.cli", *json_flag, "koopman", "finite", "--map", "2,1"]
+    try:
+        done = subprocess.run(argv, stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=120)
+    finally:
+        os.close(write_end)
+    assert done.returncode in (0, 1, 2)
+    assert done.stderr == b""
 
 
 def test_tiny_frequency_sine_passes_its_error_bound():
