@@ -165,6 +165,8 @@ def _require_verified(item: VerifiedReduction, source_id: str) -> Reduction:
     reduction, report = item
     if not report.passed:
         raise UnverifiedReduction(f"{reduction.name} has a failing verification report")
+    if report.reduction is not reduction:
+        raise UnverifiedReduction(f"{reduction.name} is paired with a report that did not check it")
     if reduction.source.name != source_id:
         raise UnverifiedReduction(
             f"{reduction.name} starts at {reduction.source.name}, expected {source_id}"

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import os
@@ -68,7 +69,8 @@ def to_jsonable(value):
     if isinstance(value, (list, tuple)):
         return [to_jsonable(v) for v in value]
     if is_dataclass(value) and not isinstance(value, type):
-        return {f.name: to_jsonable(getattr(value, f.name)) for f in dataclasses.fields(value)}
+        # a field left out of the repr (a report's bound reduction, say) stays out of the report
+        return {f.name: to_jsonable(getattr(value, f.name)) for f in dataclasses.fields(value) if f.repr}
     return str(value)
 
 
@@ -150,7 +152,9 @@ class _Parser(argparse.ArgumentParser):
         return super()._parse_optional(arg_string)
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The argument parser, built once per process: ``parse_args`` keeps no state between calls."""
     parser = _Parser(prog="sci-workbench", description=__doc__, allow_abbrev=False)
     parser.add_argument("--json", action="store_true", help="emit the versioned JSON report")
     parser.add_argument("--catalog", default=None, help="path to a catalog document")
@@ -253,8 +257,21 @@ def _cmd_integrate_tower(args, seed):
     bound = ig.quadrature_error_bound(func, iv, args.n)
     error = abs(value - exact)
     result = {"stage": args.n, "value": value, "exact": exact, "error": error}
-    checks = [CheckItem("left-endpoint error bound", error <= bound, float(error), float(bound))]
+    tolerance = _double(args, "error bound", bound)
+    checks = [CheckItem("left-endpoint error bound", error <= bound, _double(args, "error", error), tolerance)]
     return result, checks
+
+
+def _double(args, name: str, value: Fraction) -> float:
+    """``value`` as a double; a rational out of double range names ``--interval``, which set it."""
+    try:
+        return float(value)
+    except OverflowError:
+        digits = len(str(abs(value.numerator) // value.denominator))
+        raise ValueError(
+            f"--interval {' '.join(args.interval)} gives a left-endpoint {name} of about 10^{digits - 1},"
+            " which is out of double range"
+        ) from None
 
 
 def _cmd_integrate_adversary(args, seed):

@@ -130,18 +130,28 @@ def sigma_inf(matrix: KoopmanMatrix, z: complex, weights: Sequence[Fraction] | N
     return float(values[0])
 
 
+def _formed(matrix: KoopmanMatrix, weights: Sequence[Fraction] | None) -> tuple:
+    """M as a complex array and the root weights D (see :func:`_root_weights`), formed once per caller."""
+    return matrix.as_array(), _root_weights(weights)
+
+
 def _sigma_inf_many(
-    matrix: KoopmanMatrix, zs: Iterable, weights: Sequence[Fraction] | None, index: np.ndarray | None = None
+    matrix: KoopmanMatrix,
+    zs: Iterable,
+    weights: Sequence[Fraction] | None,
+    index: np.ndarray | None = None,
+    *,
+    formed: tuple | None = None,
 ):
     """Yield (z chunk, sigma_inf array) over the z values, one stacked SVD per chunk.
 
     The entries of each shifted, weighted matrix are formed exactly as for a
     single z, so the values equal the one-point SVD bit for bit.  Given an
     increasing ``index`` array, the values are those of the diagonal block on
-    those rows and columns, whose entries are the full matrix's.
+    those rows and columns, whose entries are the full matrix's.  A caller
+    making many calls passes ``formed = _formed(matrix, weights)``.
     """
-    base = matrix.as_array()
-    w = _root_weights(weights)
+    base, w = formed or _formed(matrix, weights)
     if index is not None:
         base = base[np.ix_(index, index)]
         w = None if w is None else w[index]
@@ -384,11 +394,13 @@ def _axis_anchors(count: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return anchors, lo, np.minimum(lo + 1, len(anchors) - 1)
 
 
-def _svd_error_bound(matrix: KoopmanMatrix, weights: Sequence[Fraction] | None, z_max: float) -> float:
+def _svd_error_bound(
+    matrix: KoopmanMatrix, weights: Sequence[Fraction] | None, z_max: float, *, formed: tuple | None = None
+) -> float:
     """delta = c*n*u*(||B~||_F + sqrt(n)*z_max), c = 64: a bound on the error of
     the computed sigma_inf at every |z| <= z_max (see :func:`sigma_ap_eps`)."""
     n = matrix.size
-    w = _root_weights(weights)
+    w = formed[1] if formed else _root_weights(weights)
     image = matrix.image()
     with np.errstate(over="ignore"):
         ratios = np.ones(n) if w is None else w / w[np.array(image) - 1]
@@ -475,14 +487,16 @@ def sigma_ap_eps(
         ):
             raise GridTooCoarse(f"grid does not cover {lam} with an eps margin")
     re, im = grid._axes()
-    slack = 2 * _svd_error_bound(matrix, weights, math.hypot(np.abs(re).max(), np.abs(im).max()))
+    formed = _formed(matrix, weights)
+    z_max = math.hypot(np.abs(re).max(), np.abs(im).max())
+    slack = 2 * _svd_error_bound(matrix, weights, z_max, formed=formed)
     labels = np.array(component)
     blocks = [np.flatnonzero(labels == k) for k in range(labels.max() + 1)] if labels.max() else [None]
 
     def sigma(zs: list[complex], parts: list) -> np.ndarray:
         """Per z, the least computed sigma_inf over the parts (None: the full matrix)."""
         return np.min([
-            np.concatenate([values for _, values in _sigma_inf_many(matrix, zs, weights, part)])
+            np.concatenate([v for _, v in _sigma_inf_many(matrix, zs, weights, part, formed=formed)])
             for part in parts
         ], axis=0)
 

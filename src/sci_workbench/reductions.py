@@ -13,7 +13,8 @@ from __future__ import annotations
 
 import enum
 import random
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import dataclass, field
 from fractions import Fraction
 from numbers import Number
 from typing import Any, Callable
@@ -217,6 +218,8 @@ class VerificationReport:
     max_discrepancy: float
     tol: float
     seed: int
+    # the reduction checked; kept out of the repr, equality and JSON reports
+    reduction: Reduction | None = field(default=None, repr=False, compare=False)
 
     @property
     def passed(self) -> bool:
@@ -252,18 +255,31 @@ def verify_reduction(
 ) -> VerificationReport:
     """Sample catalog inputs and plan-covered queries against the two defining equations.
 
-    Each admitted sample asks two rounds: the covered sampled target ids on
-    the encoded input, and their concatenated plan blocks on the source
-    input.  A plan gap is a query failure.  Equal query answers are settled
-    by that comparison.  Unequal numeric answers add their gap to
+    Sampling runs in two phases.  The draw phase takes every sample in the
+    order the rng gives it.  A new input is keyed by identity (the table
+    keeps it alive, so inputs need not be hashable) and is encoded and
+    checked for admission once.  An admitted draw then draws its target
+    ids, tallied per input as distinct id -> draw count.  The check phase
+    visits each distinct admitted input once: one target check, one round
+    of its distinct covered target ids (in first-draw order) on the encoded
+    input, and one round of their concatenated plan blocks on the source
+    input.  Every map in the two equations is a function, so a repeated
+    draw cannot change its outcome: each failure counts once per draw, and
+    the report equals a check of every draw in turn.  The table holds one
+    count per distinct drawn (input, id) pair, at most ``sample_count *
+    queries_per_sample``, which the budget check caps at ``DEFAULT_BUDGET``.
+
+    A plan gap is a query failure.  Equal query answers are settled by
+    that comparison.  Unequal numeric answers add their gap to
     ``max_discrepancy``; exact numbers must agree exactly, numbers involving
     floating point within ``tol``.  Other unequal answers (tuples, say)
     fail.  Targets compare through the output distance in the same way as
     numbers.  A NaN gap, of a query or of a target, is a failure and leaves
     ``max_discrepancy`` finite.  An encoded input the target does not admit
-    counts as a target failure and ends that sample.  Failures are report
-    content, never exceptions.  More than ``DEFAULT_BUDGET`` sampled queries
-    raise :class:`BudgetExceeded` before any sampling.
+    counts as a target failure per draw and draws no ids.  Failures are
+    report content, never exceptions.  More than ``DEFAULT_BUDGET`` sampled
+    queries raise :class:`BudgetExceeded` before any sampling.  The report
+    records ``reduction``, which the certificates check it against.
     """
     if sample_count < 1:
         raise ValueError("sample_count must be >= 1")
@@ -277,35 +293,52 @@ def verify_reduction(
     query_failures = 0
     max_discrepancy = 0.0
 
+    # id(a) -> [a, encoded, admitted draws, Counter of target id draws or None if refused]
+    table: dict[int, list] = {}
     for _ in range(sample_count):
         a = source.inputs.sample(rng)
-        encoded = reduction.encoder(a)
-        if not target.inputs.admits(encoded):
+        row = table.get(id(a))
+        if row is None:
+            encoded = reduction.encoder(a)
+            row = table[id(a)] = [a, encoded, 0, Counter() if target.inputs.admits(encoded) else None]
+        tally = row[3]
+        if tally is None:
             target_failures += 1
             continue
+        row[2] += 1
+        tally.update(target.queries.sample_ids(rng, queries_per_sample))
 
+    for a, encoded, draws, tally in table.values():
+        if tally is None:
+            continue
         want = source.target(a)
         got = reduction.decoder.map(target.target(encoded))
         gap = distance(want, got)
         max_discrepancy = max(max_discrepancy, float(gap))
         if _mismatch(want, got, gap, tol):
-            target_failures += 1
+            target_failures += draws
 
-        sampled = target.queries.sample_ids(rng, queries_per_sample)
-        covered = [(qid, entry) for qid in sampled if (entry := reduction.plan.entry(qid)) is not None]
-        query_failures += len(sampled) - len(covered)
-        source_ids, split = _blockwise([entry for _, entry in covered])
-        wanted = target.queries.answer([qid for qid, _ in covered], encoded)
-        for want_q, got_q in zip(wanted, split(source.queries.answer(source_ids, a))):
+        covered, entries, counts = [], [], []
+        for qid, count in tally.items():
+            entry = reduction.plan.entry(qid)
+            if entry is None:
+                query_failures += count
+            else:
+                covered.append(qid)
+                entries.append(entry)
+                counts.append(count)
+        source_ids, split = _blockwise(entries)
+        wanted = target.queries.answer(covered, encoded)
+        for want_q, got_q, count in zip(wanted, split(source.queries.answer(source_ids, a)), counts):
             if want_q == got_q:
                 continue
             if isinstance(want_q, Number) and isinstance(got_q, Number):
                 gap_q = abs(want_q - got_q)
                 max_discrepancy = max(max_discrepancy, float(gap_q))
                 if _mismatch(want_q, got_q, gap_q, tol):
-                    query_failures += 1
+                    query_failures += count
             else:
-                query_failures += 1
+                query_failures += count
 
     return VerificationReport(
         samples=sample_count,
@@ -315,6 +348,7 @@ def verify_reduction(
         max_discrepancy=max_discrepancy,
         tol=tol,
         seed=seed,
+        reduction=reduction,
     )
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 
@@ -8,7 +9,8 @@ from hypothesis import strategies as st
 from sci_workbench import certificates as ct
 from sci_workbench import integration as ig
 from sci_workbench.errors import IndeterminateHeight, MissingClause, UnverifiedReduction
-from sci_workbench.reductions import verify_reduction
+from sci_workbench.cli import to_jsonable
+from sci_workbench.reductions import PlanEntry, QueryPlan, verify_reduction
 
 
 def record_of(*heights):
@@ -204,6 +206,50 @@ class TestSufficiencyPackage:
         with pytest.raises(MissingClause) as exc:
             ct.sufficiency_package(source_cert, reductions, weak)
         assert exc.value.clause == "C3"
+
+
+class TestReportBinding:
+    """A report vouches only for the reduction it checked."""
+
+    @pytest.fixture
+    def swapped(self, integration_pipeline):
+        # the combiner adds 1, so this reduction fails its own verification
+        source_cert, reductions, upper_bounds = integration_pipeline
+        member = ig.make_problem(ig.interval(0, 2)).name
+        good, good_report = reductions[member]
+        plus_one = QueryPlan("plus-one", lambda qid: PlanEntry(
+            good.plan.rule(qid).source_ids, lambda values, _e=good.plan.rule(qid): _e.combine(values) + 1
+        ))
+        broken = dataclasses.replace(good, plan=plus_one)
+        assert good_report.passed and not verify_reduction(broken, 60).passed
+        return source_cert, {**reductions, member: (broken, good_report)}, upper_bounds, member
+
+    def test_report_records_its_reduction_outside_repr_equality_and_json(self, integration_pipeline):
+        _, reductions, _ = integration_pipeline
+        reduction, report = next(iter(reductions.values()))
+        assert report.reduction is reduction
+        unbound = dataclasses.replace(report, reduction=None)
+        assert unbound == report and repr(unbound) == repr(report)
+        assert "reduction" not in to_jsonable(report)
+
+    def test_transfer_lower_bound_refuses_another_reductions_report(self, swapped):
+        source_cert, reductions, _, member = swapped
+        with pytest.raises(UnverifiedReduction, match="did not check it"):
+            ct.transfer_lower_bound(source_cert, [reductions[member]])
+
+    def test_sufficiency_package_refuses_it(self, swapped):
+        source_cert, reductions, upper_bounds, _ = swapped
+        with pytest.raises(MissingClause) as exc:
+            ct.sufficiency_package(source_cert, reductions, upper_bounds)
+        assert exc.value.clause == "C2" and "did not check it" in str(exc.value)
+
+    def test_transport_saturation_refuses_it(self, swapped):
+        source_cert, reductions, upper_bounds, _ = swapped
+        basis = {source_cert.problem_id: source_cert}
+        assignment = dict.fromkeys(upper_bounds, source_cert.problem_id)
+        with pytest.raises(MissingClause) as exc:
+            ct.transport_saturation(basis, assignment, reductions, upper_bounds)
+        assert exc.value.clause == "C2" and "did not check it" in str(exc.value)
 
 
 class TestTransportSaturation:

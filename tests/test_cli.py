@@ -262,6 +262,29 @@ def test_sine_endpoint_out_of_double_range_is_named(command, a, b, named, capsys
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("b, n, named", [("1e400", "4", "error bound of about 10^799"),
+                                         ("1e200", "1", "error bound of about 10^399")])
+def test_exact_bound_out_of_double_range_is_named(b, n, named, capsys):
+    # the polynomial is exact at any endpoint, but the check reports the bound as a double
+    argv = ["--json", "integrate", "tower", "--interval", "0", b, "--function", "poly:1,1", "--n", n]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"bad argument value: --interval 0 {b} gives a left-endpoint {named}, " \
+        "which is out of double range\n"
+    assert captured.out == ""
+
+
+def test_usage_error_between_identical_calls_leaves_the_report_unchanged(capsys):
+    # the parser is built once per process, so a failed parse must leave nothing behind
+    argv = ["--json", "integrate", "reduce", "--interval", "0", "2", "--samples", "8"]
+    assert main(argv) == 0
+    first = capsys.readouterr().out
+    assert main(["--json", "integrate", "reduce", "--interval", "0", "--samples", "x", "--bogus"]) == 2
+    assert capsys.readouterr().err.startswith("usage error:")
+    assert main(argv) == 0
+    assert capsys.readouterr().out == first
+
+
 @pytest.mark.parametrize("json_flag", [["--json"], []], ids=["json", "human"])
 def test_closed_stdout_exits_cleanly(json_flag):
     # the read end is closed before the command starts, so its first write meets a broken pipe

@@ -605,6 +605,20 @@ class TestComponentSplit:
         for eps in split[::len(split) // 5]:
             assert kp.sigma_ap_eps(matrix, eps, grid, weights).points == reference_ap_eps(matrix, eps, grid, weights)
 
+    def test_matrix_and_weights_are_formed_once_per_call(self, monkeypatch):
+        # three components, so both passes make one stacked SVD per block, plus full-matrix fallbacks
+        image = (4, 11, 1, 4, 8, 5, 5, 7, 2, 6, 2)
+        weights = tuple(Fraction(k % 8 + 1, k % 3 + 1) for k in range(len(image)))
+        matrix = kp.koopman_matrix(kp.uniform_space(len(image)), kp.MapTable(image))
+        grid = boundary_grid(0.5)
+        expected = reference_ap_eps(matrix, 0.55, grid, weights)
+        formed = []
+        as_array, root_weights = kp.KoopmanMatrix.as_array, kp._root_weights
+        monkeypatch.setattr(kp.KoopmanMatrix, "as_array", lambda self: formed.append("M") or as_array(self))
+        monkeypatch.setattr(kp, "_root_weights", lambda w: formed.append("D") or root_weights(w))
+        assert kp.sigma_ap_eps(matrix, 0.55, grid, weights).points == expected
+        assert formed == ["M", "D"]
+
     def test_second_pass_points_within_2delta_of_eps_get_the_full_svd(self, monkeypatch):
         # eps sits 1.5*delta above the block minimum of a point: the block value
         # alone cannot decide it, so the full N x N SVD must

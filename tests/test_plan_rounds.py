@@ -5,10 +5,13 @@ needs at least one source query, which is what the empty-family
 obstruction of ``structural_feasibility`` rests on.  Verification,
 composition and pullback must all treat such an entry as a gap.  The
 round-shape tests record ``QueryFamily.answer`` to check that verification
-asks the same kind of rounds as a pulled-back run.
+asks the same kind of rounds as a pulled-back run: per distinct sampled
+input, one round of its distinct target ids and one of their plan blocks.
 """
 
 import dataclasses
+import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -95,19 +98,36 @@ def rounds(monkeypatch):
     return calls
 
 
+def replay(reduction, sample_count, queries_per_sample, seed):
+    """The draws of ``verify_reduction`` when every input is admitted: per distinct
+    input (by identity, in first-draw order), its target ids as a Counter of draws."""
+    rng = random.Random(seed)
+    drawn = {}
+    for _ in range(sample_count):
+        a = reduction.source.inputs.sample(rng)
+        ids = drawn.setdefault(id(a), (a, Counter()))[1]
+        ids.update(reduction.target.queries.sample_ids(rng, queries_per_sample))
+    return list(drawn.values())
+
+
 def affine_reduction():
     return ig.affine_reduction(ig.make_problem(ig.interval(0, 2)), ig.make_problem(ig.interval(0, 1)))
 
 
 class TestRoundShape:
     def test_verification_asks_one_target_and_one_source_round_per_sample(self, rounds):
+        # one round pair per distinct sampled input, of its distinct ids in first-draw order
         reduction = affine_reduction()
         report = verify_reduction(reduction, 6, queries_per_sample=5, seed=3)
         assert report.passed
-        assert len(rounds) == 2 * 6
-        for (family, ids, encoded), (source_family, source_ids, a) in zip(rounds[::2], rounds[1::2]):
-            assert family is reduction.target.queries and len(ids) == 5
-            assert source_family is reduction.source.queries
+        drawn = replay(reduction, 6, 5, seed=3)
+        assert len(drawn) < 6 and any(sum(ids.values()) > len(ids) for _, ids in drawn)
+        assert len(rounds) == 2 * len(drawn)
+        for (a, ids), (family, asked, encoded), (source_family, source_ids, source_input) in zip(
+            drawn, rounds[::2], rounds[1::2]
+        ):
+            assert family is reduction.target.queries and asked == tuple(ids)
+            assert source_family is reduction.source.queries and source_input is a
             assert encoded == reduction.encoder(a)
             assert source_ids == tuple(sid for qid in ids for sid in reduction.plan.entry(qid).source_ids)
 
@@ -119,13 +139,13 @@ class TestRoundShape:
 
     def test_gaps_leave_the_target_round(self, rounds):
         reduction = affine_reduction()
-        half = Fraction(1, 2)
-        plan = QueryPlan("no-half", lambda qid: None if qid == ("ev", half) else reduction.plan.rule(qid))
+        half = ("ev", Fraction(1, 2))
+        plan = QueryPlan("no-half", lambda qid: None if qid == half else reduction.plan.rule(qid))
         gappy = dataclasses.replace(reduction, plan=plan)
         report = verify_reduction(gappy, 8, queries_per_sample=10, seed=1)
-        asked = sum(len(ids) for family, ids, _ in rounds if family is reduction.target.queries)
-        assert report.query_failures == 8 * 10 - asked > 0
-        assert all(("ev", half) not in ids for _, ids, _ in rounds[::2])
+        drawn = replay(reduction, 8, 10, seed=1)
+        assert report.query_failures == sum(ids[half] for _, ids in drawn) > 1
+        assert [asked for _, asked, _ in rounds[::2]] == [tuple(q for q in ids if q != half) for _, ids in drawn]
 
     def test_run_algorithm_answers_each_ask_with_one_call(self, rounds):
         problem = ig.make_problem(ig.interval(0, 1))

@@ -1,8 +1,9 @@
 """The verification hot path against the expressions it replaces.
 
 ``reference_verify`` is the sampling loop of ``verify_reduction`` before
-equal query answers were settled by equality: every numeric answer pays
-the gap arithmetic.  ``reference_sampler`` and ``reference_grid_point``
+equal query answers were settled by equality and before each distinct
+(input, id) draw was checked once: it checks every draw in turn, and every
+numeric answer pays the gap arithmetic.  ``reference_sampler`` and ``reference_grid_point``
 build sampled and canonical point ids as ``a + length * Fraction(j, den)``,
 and ``reference_approximant`` takes the window floor through a Fraction
 product.  Reports are compared through ``repr``, so every field, floats
@@ -11,6 +12,7 @@ reference passes them and ``verify_reduction`` fails them (see
 ``tests/test_reductions.py``).
 """
 
+import copy
 import dataclasses
 import math
 import random
@@ -21,6 +23,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sci_workbench import degrees as dg
 from sci_workbench import integration as ig
 from sci_workbench import spectral as sp
 from sci_workbench.core import InputCatalog, OutputSpace, Problem, QueryFamily, check_budget
@@ -195,6 +198,95 @@ class TestVerifyEqualsReference:
         swapped = QueryPlan("swap", lambda qid: PlanEntry((qid,), lambda vals: vals[0][::-1]))
         bad = dataclasses.replace(identity_reduction(problem), plan=swapped)
         assert same_report(bad, 10, 4).query_failures == 40
+
+
+class TestDistinctDrawsEqualReference:
+    """Verification checks each distinct (input, id) once and counts it per draw."""
+
+    def test_200_samples_over_the_default_functions(self):
+        reduction = ig.affine_reduction(ig.make_problem(ig.interval(0, 2)))
+        assert same_report(reduction, 200, 20, seed=5).passed
+
+    def test_stabilization_pair(self, spectral_source):
+        domain = spectral_source.params["domain"]
+        stabilizer = sp.StabilizerSpec.certify(sp.constant_diagonal(3), domain)
+        for reduction in sp.stabilization_reductions(
+            domain, stabilizer, spectral_source.inputs.members, source=spectral_source
+        ):
+            assert same_report(reduction, 60, 20, seed=2).passed
+
+    def test_both_join_sides(self, spectral_source):
+        p0 = ig.make_problem(ig.interval(-1, 2), (ig.polynomial(0, 1), ig.polynomial(2)))
+        joined = dg.upper_bound_join(p0, spectral_source)
+        for reduction in (joined.left, joined.right):
+            assert same_report(reduction, 40, 20, seed=1).passed
+
+    def test_fresh_equal_inputs_are_checked_one_by_one(self):
+        problem = ig.make_problem(ig.interval(0, 1), (ig.polynomial(0, 1), ig.Sine(1.0, 1.0)))
+        fresh = InputCatalog(
+            problem.inputs.members,
+            admits=problem.inputs.admits,
+            sampler=lambda rng: copy.copy(rng.choice(problem.inputs.members)),
+        )
+        reduction, calls = counted(ig.affine_reduction(
+            ig.make_problem(ig.interval(0, 2)), dataclasses.replace(problem, inputs=fresh)
+        ))
+        report = verify_reduction(reduction, 30, queries_per_sample=10)
+        # every draw is a new object, so each is encoded and checked on its own
+        assert sorted(step for step, _ in calls) == ["encoder"] * 30 + ["source.target"] * 30
+        assert len({key for _, key in calls}) == 30
+        assert report.passed
+        assert repr(report) == repr(reference_verify(reduction, 30, queries_per_sample=10))
+
+    def test_encoder_and_target_run_once_per_distinct_input(self):
+        reduction, calls = counted(ig.affine_reduction(ig.make_problem(ig.interval(0, 2))))
+        report = verify_reduction(reduction, 50, queries_per_sample=5, seed=4)
+        assert report.passed
+        rng = random.Random(4)
+        distinct = set()
+        for _ in range(50):
+            distinct.add(id(reduction.source.inputs.sample(rng)))
+            reduction.target.queries.sample_ids(rng, 5)
+        assert len(distinct) < 50
+        assert sorted(calls) == sorted(
+            (step, key) for key in distinct for step in ("encoder", "source.target")
+        )
+
+    def test_a_combiner_wrong_on_one_id_fails_once_per_draw(self):
+        good = ig.affine_reduction(ig.make_problem(ig.interval(0, 2)))
+        one = ("ev", Fraction(1))
+
+        def off_at_one(qid):
+            entry = good.plan.rule(qid)
+            if qid != one:
+                return entry
+            return PlanEntry(entry.source_ids, lambda vals, _e=entry: _e.combine(vals) + 1)
+
+        bad = dataclasses.replace(good, plan=QueryPlan("off-at-one", off_at_one))
+        rng = random.Random(7)
+        draws = 0
+        for _ in range(40):
+            good.source.inputs.sample(rng)
+            draws += good.target.queries.sample_ids(rng, 10).count(one)
+        report = same_report(bad, 40, 10, seed=7)
+        assert report.target_failures == 0
+        assert report.query_failures == draws > 40 / 7  # the inputs repeat, and so does the id
+
+
+def counted(reduction):
+    """``reduction`` with its encoder and source target recording (step, id(input)) per call."""
+    calls = []
+
+    def encoder(a, _encode=reduction.encoder):
+        calls.append(("encoder", id(a)))
+        return _encode(a)
+
+    def target(a, _target=reduction.source.target):
+        calls.append(("source.target", id(a)))
+        return _target(a)
+
+    source = dataclasses.replace(reduction.source, target=target)
+    return dataclasses.replace(reduction, source=source, encoder=encoder), calls
 
 
 # --- sampled, canonical and separator ids ------------------------------------
