@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
 from pathlib import Path
-from . import integration, koopman, spectral
+from . import integration, spectral
 from .core import Problem
 from .errors import CatalogError, WorkbenchError
 from .reductions import Reduction, identity_reduction
@@ -80,7 +80,9 @@ def _stabilization_params(params: dict) -> tuple[spectral.Domain, spectral.Stabi
     return j_domain, stabilizer, _spectral_pairs(params, j_domain)
 
 
-def _koopman_target(raw) -> koopman.TargetSpec:
+def _koopman_target(raw) -> tuple:
+    from . import koopman  # numpy, which only the Koopman entries need
+
     if raw == "ap":
         return koopman.AP
     if isinstance(raw, dict) and "ap_eps" in raw:
@@ -114,6 +116,8 @@ def problem_from_json(entry: dict) -> Problem:
         return spectral.stabilized_problem(*_stabilization_params(params))
 
     if kind == "koopman":
+        from . import koopman
+
         space = koopman.FiniteSpace(tuple(parse_fraction(w) for w in params["weights"]))
         tables = tuple(koopman.MapTable(tuple(m)) for m in params["maps"])
         return koopman.make_problem(space, tables, _koopman_target(params.get("target", "ap")))

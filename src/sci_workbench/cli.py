@@ -23,7 +23,6 @@ from typing import Any, Sequence
 from . import certificates as ct
 from . import degrees as dg
 from . import integration as ig
-from . import koopman as kp
 from . import spectral as sp
 from .catalog import diagonal_from_json, function_from_json, load_catalog, reduction_from_json
 from .core import evaluate_tower, run_algorithm
@@ -362,6 +361,8 @@ def _cmd_spectral_reduce(args, seed):
 
 
 def _cmd_koopman_finite(args, seed):
+    from . import koopman as kp  # numpy, which only this command needs
+
     image = tuple(int(v) for v in args.map.split(","))
     table = kp.MapTable(image)
     n = table.size

@@ -213,17 +213,30 @@ def hausdorff(a: CompactSetApprox, b: CompactSetApprox) -> float:
     pa, pb = _points(a), _points(b)
     if pa == pb:
         return 0.0
-    pa = np.array(pa, dtype=complex)
-    pb = np.array(pb, dtype=complex)
-    rows = max(1, _CHUNK_ENTRIES // len(pb))
     forward = 0.0
     backward = np.full(len(pb), np.inf)
-    for start in range(0, len(pa), rows):
-        d = pa[start:start + rows, None] - pb[None, :]
-        dist = np.hypot(d.real, d.imag)
+    for dist in _distance_blocks(pa, pb):
         forward = max(forward, dist.min(axis=1).max())
         np.minimum(backward, dist.min(axis=0), out=backward)
     return float(max(forward, backward.max()))
+
+
+def _distance_blocks(pa: Sequence[complex], pb: Sequence[complex]):
+    """Yield the distances ``hypot(p - q)`` of each block of rows p of A to every q of B.
+
+    A block holds at most ``_CHUNK_ENTRIES`` distances, and at least one row.
+    """
+    pa = np.array(pa, dtype=complex)
+    pb = np.array(pb, dtype=complex)
+    rows = max(1, _CHUNK_ENTRIES // len(pb))
+    for start in range(0, len(pa), rows):
+        d = pa[start:start + rows, None] - pb[None, :]
+        yield np.hypot(d.real, d.imag)
+
+
+def _distance_to(zs: Sequence[complex], points: Sequence[complex]) -> np.ndarray:
+    """Per z, its computed distance to the nearest of the points."""
+    return np.concatenate([dist.min(axis=1) for dist in _distance_blocks(zs, points)])
 
 
 def _points(value) -> tuple[complex, ...]:
@@ -242,28 +255,23 @@ def _require_finite(points: tuple) -> None:
         raise ValueError(f"compact-set points are finite, got {bad}")
 
 
-_EXACT_ROOTS = {
-    Fraction(0): 1 + 0j,
-    Fraction(1, 2): -1 + 0j,
-    Fraction(1, 4): 1j,
-    Fraction(3, 4): -1j,
-}
+#: exp(2*pi*i*k/m) at the quarter turns, keyed by the reduced (k, m)
+_EXACT_ROOTS = {(0, 1): 1 + 0j, (1, 2): -1 + 0j, (1, 4): 1j, (3, 4): -1j}
 
 
-def _cycle_lengths(image: tuple[int, ...]) -> tuple[set[int], bool, list[int]]:
-    """Cycle lengths of the functional graph, whether any node is off-cycle,
-    and per node (0-based) the number of its weakly connected component.
+def _cycle_lengths(image: tuple[int, ...]) -> tuple[list[int], bool, list[int]]:
+    """Per weakly connected component of the functional graph, the length of
+    its cycle; whether any node is off-cycle; and per node (0-based) the
+    number of its component.
 
     Each component holds exactly one cycle, so a path that closes a new
     cycle opens a new component, and a path that runs into settled nodes
-    joins theirs.
+    joins theirs.  The off-cycle nodes are the ones the cycles leave over.
     """
     n = len(image)
     state = [0] * (n + 1)  # 0 new, 1 on current path, 2 settled
-    on_cycle = [False] * (n + 1)
     component = [0] * (n + 1)
-    lengths: set[int] = set()
-    components = 0
+    cycles: list[int] = []
     for start in range(1, n + 1):
         if state[start]:
             continue
@@ -274,18 +282,28 @@ def _cycle_lengths(image: tuple[int, ...]) -> tuple[set[int], bool, list[int]]:
             path.append(node)
             node = image[node - 1]
         if state[node] == 1:  # found a new cycle along this path
-            cycle = path[path.index(node):]
-            lengths.add(len(cycle))
-            for member in cycle:
-                on_cycle[member] = True
-            label, components = components, components + 1
+            label = len(cycles)
+            cycles.append(len(path) - path.index(node))
         else:
             label = component[node]
         for member in path:
             state[member] = 2
             component[member] = label
-    has_tail = any(not on_cycle[i] for i in range(1, n + 1))
-    return lengths, has_tail, component[1:]
+    return cycles, sum(cycles) < n, component[1:]
+
+
+def _roots_of_unity(lengths: Iterable[int]) -> list[complex]:
+    """The L-th roots of unity over the lengths L, each once: exact at quarter
+    turns, double precision (``cmath.exp``) elsewhere."""
+    roots = {}
+    for m in set(lengths):
+        for k in range(m):
+            g = math.gcd(k, m)
+            angle = (k // g, m // g)
+            if angle not in roots:
+                exact = _EXACT_ROOTS.get(angle)
+                roots[angle] = cmath.exp(2j * cmath.pi * (k / m)) if exact is None else exact
+    return list(roots.values())
 
 
 def sigma_ap(matrix: KoopmanMatrix, weights: Sequence[Fraction] | None = None) -> CompactSetApprox:
@@ -299,18 +317,14 @@ def sigma_ap(matrix: KoopmanMatrix, weights: Sequence[Fraction] | None = None) -
     return _spectrum_and_components(matrix)[0]
 
 
-def _spectrum_and_components(matrix: KoopmanMatrix) -> tuple[CompactSetApprox, list[int]]:
-    """:func:`sigma_ap` and the component numbers of :func:`_cycle_lengths`, from one walk."""
-    lengths, has_tail, component = _cycle_lengths(matrix.image())
-    angles: set[Fraction] = set()
-    for length in lengths:
-        for k in range(length):
-            angles.add(Fraction(k, length))
-    points = [_EXACT_ROOTS.get(angle, cmath.exp(2j * cmath.pi * angle)) for angle in angles]
+def _spectrum_and_components(matrix: KoopmanMatrix) -> tuple[CompactSetApprox, list[int], list[int]]:
+    """:func:`sigma_ap` and the cycle lengths and component numbers of :func:`_cycle_lengths`, from one walk."""
+    cycles, has_tail, component = _cycle_lengths(matrix.image())
+    points = _roots_of_unity(cycles)
     if has_tail:
         points.append(0j)
     points.sort(key=lambda p: (p.real, p.imag))
-    return CompactSetApprox(tuple(points)), component
+    return CompactSetApprox(tuple(points)), cycles, component
 
 
 @dataclass(frozen=True)
@@ -334,7 +348,9 @@ class GridSpec:
         except OverflowError:
             raise BadGrid(f"grid rectangle overflows at spacing {self.spacing}") from None
         if count > DEFAULT_BUDGET:
-            raise BadGrid(f"grid has {count} points, more than the budget {DEFAULT_BUDGET}")
+            # the count may run to hundreds of digits, past float range: scale it by an exact power of ten
+            e = len(str(count)) - 1
+            raise BadGrid(f"grid has {count / 10**e:.3f} x 10^{e} points, more than the budget {DEFAULT_BUDGET}")
 
     @property
     def size(self) -> int:
@@ -437,9 +453,9 @@ def sigma_ap_eps(
     counting as anchor rows and columns.  Every point z is then checked
     against the four anchors z0 of its cell: it is dropped if
     s0 - |z - z0| - 2*delta > eps for one of them, kept if
-    s0 + |z - z0| + 2*delta <= eps for one of them, and otherwise its own
-    SVD decides, in a second stacked pass.  |z - z0| is rounded up by a
-    (1 + 4u) factor.
+    s0 + |z - z0| + 2*delta <= eps for one of them, and otherwise the
+    spectrum rule below or its own SVD decides, in a second stacked pass.
+    |z - z0| is rounded up by a (1 + 4u) factor.
 
     The rules are exact because the SVD input at z is a rounding of
     B~ - zI, with B~ = D M D^-1 and D the double-precision square-root
@@ -465,11 +481,42 @@ def sigma_ap_eps(
     zI, then weight).  The delta of the full matrix bounds the error of
     every block's computed value, since a block is no larger in n or in
     ||B~||_F, so the block minimum is within delta of sigma_min(B~ - zI)
-    too, and the disk rules hold for it as they stand.  It may still
-    differ from the reference value by up to 2*delta, so a second-pass
-    point whose block minimum lies within 2*delta of eps is decided by the
-    full-matrix SVD instead.  A map with one component is one block, the
-    full matrix, and needs no such fallback.
+    too, and the disk rules hold for it as they stand.
+
+    A component that is a pure cycle (its size is its cycle length, as the
+    cycle walk of :func:`sigma_ap` counts them) whose weights are equal as
+    Fractions takes no SVD.  Its weights have one double and one square
+    root, so its block of B~ is the m-cycle permutation matrix itself,
+    which is normal with the m-th roots of unity as eigenvalues, and
+    sigma_min of a normal matrix minus zI is the distance from z to its
+    spectrum (Trefethen & Embree, Spectra and Pseudospectra, ch. 2).  Its
+    value is therefore computed as min_k |z - w_k| over the computed roots
+    w_k (one pass for all such components together).  A fixed point always
+    qualifies: its block is 1 - z whatever its weight.  A computed root is
+    within 21u of the true one (the angle 2*pi*k/m is rounded three times,
+    then cos and sin once each), and the subtraction and ``hypot`` add at
+    most 2.01u(|z| + 1), so the closed form is within 24u(1 + max|z|) of
+    the exact value.  Every component holds a cycle, along which the
+    ratios of B~ multiply to 1, so ||B~||_F >= 1 and
+    delta >= 64u(1 + max|z|): the closed form is within 3*delta/8, well
+    inside delta, and everything said of block values holds for it.
+
+    The block minimum may still differ from the reference value by up to
+    2*delta, so a second-pass point whose block minimum lies within
+    2*delta of eps is decided by the full-matrix SVD instead.  That holds
+    for every map split into more than one block or with a block value in
+    closed form, a one-cycle map included; only a map whose one component
+    takes the full-matrix SVD needs no such fallback.
+
+    Before its second-pass SVD, an undecided point z is kept if
+    d*(1 + 4u) + 2*delta <= eps, with d its computed distance to the
+    computed spectrum.  For every map and every weighting an eigenvector
+    of B~ (similar to M, so with the same eigenvalues) for lambda gives
+    sigma_min(B~ - zI) <= |z - lambda|, so the reference value is at most
+    |z - lambda| + delta.  The (1 + 4u) factor covers the rounding of the
+    distance, and the second delta covers the 21u error of a computed root
+    and the rounding of the test, since delta >= 64u(1 + max|z|) and eps
+    is at most max|z| (the grid covers the spectrum with an eps margin).
     """
     if not (math.isfinite(eps) and eps > 0):
         raise ValueError(f"eps must be a positive finite number, got {eps}")
@@ -477,7 +524,7 @@ def sigma_ap_eps(
     check_budget(f"sigma_ap_eps[N={n}]", grid.size * n**3, "grid points x N^3", AP_EPS_BUDGET)
     if grid.spacing > eps / 4:
         raise GridTooCoarse(f"spacing {grid.spacing} exceeds eps/4 = {eps / 4}")
-    spectrum, component = _spectrum_and_components(matrix)
+    spectrum, cycles, component = _spectrum_and_components(matrix)
     for lam in spectrum.points:
         if not (
             grid.re_lo <= lam.real - eps
@@ -491,11 +538,25 @@ def sigma_ap_eps(
     z_max = math.hypot(np.abs(re).max(), np.abs(im).max())
     slack = 2 * _svd_error_bound(matrix, weights, z_max, formed=formed)
     labels = np.array(component)
-    blocks = [np.flatnonzero(labels == k) for k in range(labels.max() + 1)] if labels.max() else [None]
+    normal, parts = [], []
+    for k, m in enumerate(cycles):
+        index = np.flatnonzero(labels == k)
+        if len(index) == m and (weights is None or len({weights[i] for i in index.tolist()}) == 1):
+            normal.append(m)
+        else:
+            parts.append(index)
+    whole = len(cycles) == 1 and not normal
+    if whole:
+        parts = [None]
+    elif normal:
+        parts.append(_roots_of_unity(normal))
 
     def sigma(zs: list[complex], parts: list) -> np.ndarray:
-        """Per z, the least computed sigma_inf over the parts (None: the full matrix)."""
+        """Per z, the least value over the parts: the distance to a list of roots
+        (normal blocks), or the computed sigma_inf of the block on an index array
+        (None: the full matrix)."""
         return np.min([
+            _distance_to(zs, part) if isinstance(part, list) else
             np.concatenate([v for _, v in _sigma_inf_many(matrix, zs, weights, part, formed=formed)])
             for part in parts
         ], axis=0)
@@ -503,7 +564,7 @@ def sigma_ap_eps(
     row_anchors, row_lo, row_hi = _axis_anchors(len(re))
     col_anchors, col_lo, col_hi = _axis_anchors(len(im))
     anchor_im = im[col_anchors].tolist()
-    s0 = sigma([complex(x, y) for x in re[row_anchors].tolist() for y in anchor_im], blocks)
+    s0 = sigma([complex(x, y) for x in re[row_anchors].tolist() for y in anchor_im], parts)
     s0 = s0.reshape(len(row_anchors), len(col_anchors))
     col_offsets = [(c, im - im[col_anchors[c]]) for c in (col_lo, col_hi)]
     rows = max(1, _CHUNK_ENTRIES // len(im))
@@ -520,13 +581,18 @@ def sigma_ap_eps(
                 keep |= s + reach <= eps
                 drop |= s - reach > eps
         i, j = np.nonzero(~(keep | drop))
-        if len(i):
-            open_points = list(map(complex, x[i].tolist(), im[j].tolist()))
-            values = sigma(open_points, blocks)
-            if len(blocks) > 1:
-                near = np.flatnonzero(np.abs(values - eps) <= slack)
-                if len(near):
-                    values[near] = sigma([open_points[k] for k in near], [None])
+        zs = list(map(complex, x[i].tolist(), im[j].tolist()))
+        if zs:
+            spectral = _distance_to(zs, spectrum.points) * _DISTANCE_PAD + slack <= eps
+            keep[i[spectral], j[spectral]] = True
+            rest = np.flatnonzero(~spectral)
+            i, j, zs = i[rest], j[rest], [zs[k] for k in rest]
+        if zs:
+            values = sigma(zs, parts)
+            if not whole:
+                close = np.flatnonzero(np.abs(values - eps) <= slack)
+                if len(close):
+                    values[close] = sigma([zs[k] for k in close], [None])
             keep[i, j] = values <= eps
         i, j = np.nonzero(keep)
         kept.extend(map(complex, x[i].tolist(), im[j].tolist()))

@@ -245,6 +245,10 @@ def _mismatch(want, got, gap, tol: float) -> bool:
     return not gap <= tol
 
 
+#: marks a target id whose plan entry a :func:`verify_reduction` call has not expanded yet
+_UNEXPANDED = object()
+
+
 def verify_reduction(
     reduction: Reduction,
     sample_count: int = 100,
@@ -268,6 +272,9 @@ def verify_reduction(
     the report equals a check of every draw in turn.  The table holds one
     count per distinct drawn (input, id) pair, at most ``sample_count *
     queries_per_sample``, which the budget check caps at ``DEFAULT_BUDGET``.
+    The plan is a function too, so each distinct target id is expanded
+    through ``plan.entry`` once per call, whichever inputs drew it; that
+    memo holds at most as many entries as the table holds counts.
 
     A plan gap is a query failure.  Equal query answers are settled by
     that comparison.  Unequal numeric answers add their gap to
@@ -295,6 +302,7 @@ def verify_reduction(
 
     # id(a) -> [a, encoded, admitted draws, Counter of target id draws or None if refused]
     table: dict[int, list] = {}
+    plan_entries: dict = {}  # target id -> plan.entry(id), None for a gap
     for _ in range(sample_count):
         a = source.inputs.sample(rng)
         row = table.get(id(a))
@@ -320,7 +328,9 @@ def verify_reduction(
 
         covered, entries, counts = [], [], []
         for qid, count in tally.items():
-            entry = reduction.plan.entry(qid)
+            entry = plan_entries.get(qid, _UNEXPANDED)
+            if entry is _UNEXPANDED:
+                entry = plan_entries[qid] = reduction.plan.entry(qid)
             if entry is None:
                 query_failures += count
             else:

@@ -300,6 +300,29 @@ def test_closed_stdout_exits_cleanly(json_flag):
     assert done.stderr == b""
 
 
+def test_integrate_tower_process_never_imports_numpy():
+    # only koopman needs numpy; a fresh process running another command must not load it
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]))
+    script = ("import sys; from sci_workbench.cli import main; "
+              "code = main(['--json', 'integrate', 'tower', '--interval', '0', '1', '--function', 'poly:0,1', "
+              "'--n', '16']); sys.stderr.write(repr(sorted(m for m in sys.modules if m.split('.')[0] == 'numpy'))); "
+              "sys.exit(code)")
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, env=env, timeout=120)
+    assert done.returncode == 0
+    assert json.loads(done.stdout)["command"] == "integrate tower"
+    assert done.stderr == b"[]"
+
+
+def test_over_budget_grid_message_is_short_and_names_the_budget(capsys):
+    # 4e300 steps a side: the exact point count has 602 digits
+    argv = ["koopman", "finite", "--map", "1", "--target", "apeps", "--epsilon", "0.5",
+            "--grid", "-2", "2", "-2", "2", "1e-300"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: BadGrid: grid has 1.600 x 10^601 points, more than the budget 1000000\n"
+    assert captured.out == ""
+
+
 def test_tiny_frequency_sine_passes_its_error_bound():
     report = dispatch(["integrate", "tower", "--interval", "0", "1", "--function", "sine:1,1e-9",
                        "--n", "4"])

@@ -744,3 +744,128 @@ class TestWeightRange:
         if "matrix" not in message:
             with pytest.raises(WeightOutOfRange, match=re.escape(message)):
                 kp.sigma_inf(matrix, 0j, weights)
+
+
+def closed_form_value(z, m):
+    """min_k |z - w_k| over the m-th roots of unity, as Python computes it."""
+    return min(abs(z - w) for w in kp._roots_of_unity([m]))
+
+
+@st.composite
+def normal_block_cases(draw):
+    # pure cycles with one weight each (normal blocks), fixed points with any
+    # weight, and parts with tails weighted at random
+    cycles = draw(st.lists(st.integers(1, 4), min_size=1, max_size=4))
+    tails = draw(st.lists(st.tuples(st.integers(1, 3), st.integers(1, 3)), max_size=2))
+    parts = [(m, 0) for m in cycles] + tails
+    n = sum(cycle + tail for cycle, tail in parts)
+    tail_targets = draw(st.lists(st.integers(0, 64), min_size=n, max_size=n))
+    relabel = draw(st.permutations(range(1, n + 1)))
+    image = union_of_cycles_with_tails(parts, tail_targets, relabel)
+    weighted = draw(st.booleans())
+    fraction = st.fractions(min_value=Fraction(1, 8), max_value=8)
+    weights = []
+    for m, tail in parts:
+        weights += [draw(fraction)] * m if tail == 0 else draw(st.lists(fraction, min_size=m + tail,
+                                                                         max_size=m + tail))
+    relabelled = [None] * n
+    for i, w in enumerate(weights):
+        relabelled[relabel[i] - 1] = w
+    matrix = kp.koopman_matrix(kp.uniform_space(n), kp.MapTable(image))
+    return matrix, tuple(relabelled) if weighted else None
+
+
+class TestNormalBlocks:
+    @settings(max_examples=25, deadline=None)
+    @given(normal_block_cases(), st.sampled_from([1.0, 0.75]), st.integers(0, 2**16),
+           st.sampled_from(["reference", "closed form"]), st.booleans())
+    def test_kept_set_equals_per_point_reference_at_the_boundary(self, case, eps0, pick, source, ulp_below):
+        # eps is the reference value or the closed-form value of one grid point
+        # (the distance to the roots of the longest normal cycle), or one ulp below
+        matrix, weights = case
+        grid = boundary_grid(eps0)
+        points = literal_points(grid)
+        values = [reference_sigma_inf(matrix, z, weights) for z in points]
+        if source == "closed form":
+            m = max(kp._cycle_lengths(matrix.image())[0])
+            candidates = [closed_form_value(z, m) for z in points]
+        else:
+            candidates = values
+        inner = [v for v in candidates if eps0 < v <= 1.25 * eps0]
+        eps = inner[pick % len(inner)] if inner else eps0
+        if ulp_below and inner:
+            eps = math.nextafter(eps, 0)
+        assert kp.sigma_ap_eps(matrix, eps, grid, weights).points == \
+            reference_ap_eps(matrix, eps, grid, weights, values)
+
+    @pytest.mark.parametrize("image,weights", [
+        ((1, 2, 3, 4, 5), (1, 2, 3, 4, 5)),  # fixed points, each with its own weight
+        ((2, 3, 4, 5, 6, 7, 1), None),  # one uniform 7-cycle
+        ((2, 3, 1, 5, 4, 6), (Fraction(2, 3),) * 3 + (Fraction(5), Fraction(5), Fraction(1, 7))),
+        ((2, 3, 1, 4, 4, 5, 6), (3, 3, 3, 1, 2, Fraction(1, 2), 8)),  # equal-weight 3-cycle, weighted tail
+        ((2, 3, 1, 5, 4), (1, 2, 3, 4, 4)),  # unequal weights: the 3-cycle is not normal, the 2-cycle is
+    ])
+    @pytest.mark.parametrize("eps", [1.0, 0.5])
+    def test_kept_set_equals_per_point_reference(self, image, weights, eps):
+        matrix = kp.koopman_matrix(kp.uniform_space(len(image)), kp.MapTable(image))
+        weights = None if weights is None else tuple(Fraction(w) for w in weights)
+        grid = boundary_grid(eps)
+        assert kp.sigma_ap_eps(matrix, eps, grid, weights).points == reference_ap_eps(matrix, eps, grid, weights)
+
+    @pytest.mark.parametrize("ulp_below", [False, True])
+    def test_one_cycle_with_eps_at_a_closed_form_value(self, ulp_below):
+        # a uniform 5-cycle is one normal block; eps is its closed-form value at
+        # a non-anchor grid point, where the full-matrix fallback must decide
+        image = (2, 3, 4, 5, 1)
+        matrix = kp.koopman_matrix(kp.uniform_space(5), kp.MapTable(image))
+        grid = boundary_grid(0.5)
+        n_re, n_im = grid._steps()
+        k, z = next((k, z) for k, z in enumerate(literal_points(grid))
+                    if 0.55 < closed_form_value(z, 5) < 0.6
+                    and not (is_anchor(k // (n_im + 1), n_re + 1) and is_anchor(k % (n_im + 1), n_im + 1)))
+        eps = closed_form_value(z, 5)
+        if ulp_below:
+            eps = math.nextafter(eps, 0)
+        expected = reference_ap_eps(matrix, eps, grid, None)
+        assert kp.sigma_ap_eps(matrix, eps, grid).points == expected
+
+    @pytest.mark.parametrize("image,eps", [((2, 1, 4, 5, 3), 1.0), ((2, 3, 4, 5, 6, 7, 8, 1), 0.5)])
+    def test_normal_blocks_take_no_svd_but_full_matrix_fallbacks(self, image, eps, monkeypatch):
+        # an unweighted permutation is all normal blocks: every SVD is an N x N
+        # fallback at a point whose closed-form value lies within 2*delta of eps
+        matrix = kp.koopman_matrix(kp.uniform_space(len(image)), kp.MapTable(image))
+        grid = boundary_grid(eps)
+        expected = reference_ap_eps(matrix, eps, grid, None)
+        stacks = record_svd_stacks(monkeypatch)
+        assert kp.sigma_ap_eps(matrix, eps, grid).points == expected
+        monkeypatch.undo()
+        assert all(stack.shape[-1] == len(image) for stack in stacks)
+        slack = 2 * kp._svd_error_bound(matrix, None, math.hypot(grid.re_hi, grid.im_hi))
+        roots = kp.sigma_ap(matrix).points
+        fallbacks = full_matrix_points(stacks, matrix)
+        assert len(fallbacks) == sum(len(stack) for stack in stacks)
+        for z in fallbacks:
+            assert abs(min(abs(z - w) for w in roots) - eps) <= slack
+        if eps == 1.0:
+            assert 0j in fallbacks  # sigma_inf(0) = 1 = eps for a permutation
+
+    def test_mixed_map_svds_only_the_blocks_with_tails(self, monkeypatch):
+        # a uniform 3-cycle and a fixed point (normal), and a 2-cycle with two tail nodes
+        image = union_of_cycles_with_tails([(3, 0), (1, 0), (2, 2)], [0, 1], (5, 1, 7, 3, 2, 8, 4, 6))
+        matrix = kp.koopman_matrix(kp.uniform_space(8), kp.MapTable(image))
+        grid = boundary_grid(0.5)
+        expected = reference_ap_eps(matrix, 0.5, grid, None)
+        stacks = record_svd_stacks(monkeypatch)
+        assert kp.sigma_ap_eps(matrix, 0.5, grid).points == expected
+        assert {stack.shape[-1] for stack in stacks} <= {4, 8}
+        assert 0 < sum(len(s) for s in stacks if s.shape[-1] == 4) < len(literal_points(grid)) // 2
+
+    @settings(max_examples=40, deadline=None)
+    @given(koopman_cases(), st.complex_numbers(max_magnitude=3, allow_nan=False, allow_infinity=False))
+    def test_spectrum_rule_keeps_no_point_above_eps(self, case, z):
+        # the least eps at which the rule keeps z bounds z's reference value
+        matrix, weights = case
+        delta = kp._svd_error_bound(matrix, weights, max(abs(z), 1.0))
+        distance = kp._distance_to([z], kp.sigma_ap(matrix).points)[0]
+        eps = distance * kp._DISTANCE_PAD + 2 * delta
+        assert reference_sigma_inf(matrix, z, weights) <= eps
