@@ -131,7 +131,12 @@ def sigma_inf(matrix: KoopmanMatrix, z: complex, weights: Sequence[Fraction] | N
 
 
 def _formed(matrix: KoopmanMatrix, weights: Sequence[Fraction] | None) -> tuple:
-    """M as a complex array and the root weights D (see :func:`_root_weights`), formed once per caller."""
+    """M as a complex array and the root weights D (see :func:`_root_weights`), formed once per caller.
+
+    A weight vector whose length is not N raises ValueError.
+    """
+    if weights is not None and len(weights) != matrix.size:
+        raise ValueError(f"{len(weights)} weights given for a Koopman matrix on {matrix.size} points")
     return matrix.as_array(), _root_weights(weights)
 
 
@@ -410,13 +415,22 @@ def _axis_anchors(count: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return anchors, lo, np.minimum(lo + 1, len(anchors) - 1)
 
 
+def _mirror_columns(im: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The columns whose imaginary value is negative and whose exact negation
+    is also a column, and their partner columns; ``im`` is increasing, so a
+    binary search finds each partner."""
+    at = np.minimum(np.searchsorted(im, -im), len(im) - 1)
+    mirrored = np.flatnonzero((im < 0) & (im[at] == -im))
+    return mirrored, at[mirrored]
+
+
 def _svd_error_bound(
     matrix: KoopmanMatrix, weights: Sequence[Fraction] | None, z_max: float, *, formed: tuple | None = None
 ) -> float:
     """delta = c*n*u*(||B~||_F + sqrt(n)*z_max), c = 64: a bound on the error of
     the computed sigma_inf at every |z| <= z_max (see :func:`sigma_ap_eps`)."""
     n = matrix.size
-    w = formed[1] if formed else _root_weights(weights)
+    w = (formed or _formed(matrix, weights))[1]
     image = matrix.image()
     with np.errstate(over="ignore"):
         ratios = np.ones(n) if w is None else w / w[np.array(image) - 1]
@@ -508,6 +522,26 @@ def sigma_ap_eps(
     closed form, a one-cycle map included; only a map whose one component
     takes the full-matrix SVD needs no such fallback.
 
+    Only the columns that do not mirror go through the passes above.  B~ is
+    real, so the SVD input at conj(z) is the entrywise conjugate of the
+    input at z, and sigma_min(B~ - conj(z)I) = sigma_min(B~ - zI): the
+    eps-pseudospectrum is symmetric about the real axis (Trefethen &
+    Embree, ch. 2).  A column whose imaginary value is negative and whose
+    exact negation is also a column is mirrored: its points take the
+    decisions of their partners conj(z).  The other columns (the upper
+    half, the real axis and every column without an exact partner) run
+    the anchor pass, the rules and the second pass as a grid of their own,
+    with anchors at every 4th of those columns and the last.  The disk
+    rules and the spectrum rule decide only points whose exact value lies
+    more than delta from eps, and a second-pass value more than 2*delta
+    from eps puts the exact value more than delta from eps too; the
+    computed value at conj(z), within delta of that same exact value,
+    then decides alike.  Two computed values at z and conj(z) may differ
+    by up to 2*delta, so a partner decided by a value within 2*delta of
+    eps leaves its mirrored point to an SVD of its own, by the same
+    block-then-full-matrix rule.  Only exact mirrors save work: a
+    symmetric grid with dyadic spacing mirrors every negative column.
+
     Before its second-pass SVD, an undecided point z is kept if
     d*(1 + 4u) + 2*delta <= eps, with d its computed distance to the
     computed spectrum.  For every map and every weighting an eigenvector
@@ -561,18 +595,32 @@ def sigma_ap_eps(
             for part in parts
         ], axis=0)
 
+    def svd_values(zs: list[complex]) -> np.ndarray:
+        """Per z, the block minimum, or the full-matrix value where that lies within 2*delta of eps."""
+        values = sigma(zs, parts)
+        if not whole:
+            close = np.flatnonzero(np.abs(values - eps) <= slack)
+            if len(close):
+                values[close] = sigma([zs[k] for k in close], [None])
+        return values
+
+    mirrored, partner = _mirror_columns(im)
+    own = np.delete(np.arange(len(im)), mirrored)
+    partner = np.searchsorted(own, partner)
+    y = im[own]
     row_anchors, row_lo, row_hi = _axis_anchors(len(re))
-    col_anchors, col_lo, col_hi = _axis_anchors(len(im))
-    anchor_im = im[col_anchors].tolist()
-    s0 = sigma([complex(x, y) for x in re[row_anchors].tolist() for y in anchor_im], parts)
+    col_anchors, col_lo, col_hi = _axis_anchors(len(y))
+    anchor_im = y[col_anchors].tolist()
+    s0 = sigma([complex(x, v) for x in re[row_anchors].tolist() for v in anchor_im], parts)
     s0 = s0.reshape(len(row_anchors), len(col_anchors))
-    col_offsets = [(c, im - im[col_anchors[c]]) for c in (col_lo, col_hi)]
+    col_offsets = [(c, y - y[col_anchors[c]]) for c in (col_lo, col_hi)]
     rows = max(1, _CHUNK_ENTRIES // len(im))
     kept = []
     for start in range(0, len(re), rows):
         x, lo, hi = re[start:start + rows], row_lo[start:start + rows], row_hi[start:start + rows]
-        keep = np.zeros((len(x), len(im)), dtype=bool)
+        keep = np.zeros((len(x), len(y)), dtype=bool)
         drop = np.zeros_like(keep)
+        tight = np.zeros_like(keep)
         for r in (lo, hi):
             dx = (x - re[row_anchors[r]])[:, None]
             for c, dy in col_offsets:
@@ -581,20 +629,24 @@ def sigma_ap_eps(
                 keep |= s + reach <= eps
                 drop |= s - reach > eps
         i, j = np.nonzero(~(keep | drop))
-        zs = list(map(complex, x[i].tolist(), im[j].tolist()))
+        zs = list(map(complex, x[i].tolist(), y[j].tolist()))
         if zs:
             spectral = _distance_to(zs, spectrum.points) * _DISTANCE_PAD + slack <= eps
             keep[i[spectral], j[spectral]] = True
             rest = np.flatnonzero(~spectral)
             i, j, zs = i[rest], j[rest], [zs[k] for k in rest]
         if zs:
-            values = sigma(zs, parts)
-            if not whole:
-                close = np.flatnonzero(np.abs(values - eps) <= slack)
-                if len(close):
-                    values[close] = sigma([zs[k] for k in close], [None])
+            values = svd_values(zs)
             keep[i, j] = values <= eps
-        i, j = np.nonzero(keep)
+            tight[i, j] = np.abs(values - eps) <= slack
+        grid_keep = np.zeros((len(x), len(im)), dtype=bool)
+        grid_keep[:, own] = keep
+        grid_keep[:, mirrored] = keep[:, partner]
+        i, j = np.nonzero(tight[:, partner])
+        if len(i):
+            j = mirrored[j]
+            grid_keep[i, j] = svd_values(list(map(complex, x[i].tolist(), im[j].tolist()))) <= eps
+        i, j = np.nonzero(grid_keep)
         kept.extend(map(complex, x[i].tolist(), im[j].tolist()))
     kept.extend(spectrum.points)
     kept.sort(key=lambda p: (p.real, p.imag))

@@ -869,3 +869,182 @@ class TestNormalBlocks:
         distance = kp._distance_to([z], kp.sigma_ap(matrix).points)[0]
         eps = distance * kp._DISTANCE_PAD + 2 * delta
         assert reference_sigma_inf(matrix, z, weights) <= eps
+
+
+class TestWeightLength:
+    @pytest.mark.parametrize("count", [1, 2, 4])
+    def test_refused_before_any_svd(self, count, monkeypatch):
+        # numpy would broadcast a single weight, or fail on a short or long vector
+        def no_work(*args, **kwargs):
+            raise AssertionError("SVD work started")
+
+        monkeypatch.setattr(np.linalg, "svd", no_work)
+        matrix = kp.koopman_matrix(kp.uniform_space(3), kp.MapTable((2, 3, 1)))
+        weights = (Fraction(1),) * count
+        message = f"{count} weights given for a Koopman matrix on 3 points"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            kp.sigma_inf(matrix, 0.5, weights)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            kp.sigma_ap_eps(matrix, 0.5, kp.GridSpec(-1.625, 1.625, -1.625, 1.625, 0.125), weights)
+
+
+@st.composite
+def tailed_cases(draw):
+    """Maps of one to three components, the first with at least one tail node, weighted or not."""
+    parts = draw(st.lists(st.tuples(st.integers(1, 4), st.integers(0, 3)), min_size=1, max_size=3))
+    parts[0] = (parts[0][0], max(1, parts[0][1]))
+    n = sum(cycle + tail for cycle, tail in parts)
+    tail_targets = draw(st.lists(st.integers(0, 64), min_size=n, max_size=n))
+    relabel = draw(st.permutations(range(1, n + 1)))
+    image = union_of_cycles_with_tails(parts, tail_targets, relabel)
+    weights = draw(st.none() | st.lists(
+        st.fractions(min_value=Fraction(1, 8), max_value=8), min_size=n, max_size=n
+    ).map(tuple))
+    return kp.koopman_matrix(kp.uniform_space(n), kp.MapTable(image)), weights
+
+
+def stacked_reference(matrix, grid, weights):
+    """Full-matrix values at the literal grid points; the stacked kernel equals
+    the per-point SVD bit for bit (see TestStackedSigmaInf)."""
+    return [float(v) for _, vs in kp._sigma_inf_many(matrix, literal_points(grid), weights) for v in vs]
+
+
+#: (eps0, grid): every grid is valid for eps in [eps0, 1.25*eps0]
+MIRROR_GRIDS = {
+    "bench eps 1": (1.0, (-2.25, 2.25, -2.25, 2.25, 0.25)),
+    "bench eps 0.5": (0.5, (-1.625, 1.625, -1.625, 1.625, 0.125)),
+    "bench eps 0.25": (0.25, (-1.3125, 1.3125, -1.3125, 1.3125, 0.0625)),
+    "shifted up": (1.0, (-2.25, 2.5, -2.25, 3.0, 0.25)),
+    "shifted down": (1.0, (-2.5, 2.25, -3.0, 2.25, 0.25)),
+    "no exact mirror": (1.0, (-2.25, 2.25, -2.3, 2.25, 0.25)),
+    "CLI default": (0.4, (-1.5, 1.5, -1.5, 1.5, 0.02)),
+}
+
+MIRROR_MAPS = {
+    # two components, both with tails, random rational weights
+    "tails, weighted": ((4, 11, 1, 4, 8, 5, 5, 7, 2, 6, 2),
+                        tuple(Fraction(k % 8 + 1, k % 3 + 1) for k in range(11))),
+    # three components, each a cycle with tails
+    "multi-component": (union_of_cycles_with_tails([(3, 2), (4, 1), (2, 2)], range(16), (
+        7, 2, 12, 1, 9, 4, 13, 6, 11, 3, 14, 5, 8, 10)), None),
+    # an equal-weight 3-cycle and a 2-cycle (normal blocks) and a fixed point
+    "normal blocks": ((2, 3, 1, 5, 4, 6), (Fraction(2, 3),) * 3 + (Fraction(5), Fraction(5), Fraction(1, 7))),
+    # one component with tails, so every SVD is of the whole matrix
+    "one component": ((2, 3, 1, 1, 4, 5, 4), None),
+}
+
+
+class TestMirroredColumns:
+    @pytest.mark.parametrize("grid,mirrored", [
+        ((-2.25, 2.25, -2.25, 2.25, 0.25), 9),
+        ((-2.25, 2.5, -2.25, 3.0, 0.25), 9),
+        ((-2.5, 2.25, -3.0, 2.25, 0.25), 9),
+        ((-2.25, 2.25, -2.3, 2.25, 0.25), 0),
+        ((-1.5, 1.5, -1.5, 1.5, 0.02), 39),  # of 75 negative columns
+        ((-2.0, 2.0, 0.0, 0.0, 0.25), 0),  # one row, on the real axis
+        ((-2.0, 2.0, -0.5, -0.25, 0.25), 0),  # every column negative
+    ])
+    def test_partners_are_the_exact_negations(self, grid, mirrored):
+        im = kp.GridSpec(*grid)._axes()[1]
+        columns, partner = kp._mirror_columns(im)
+        values = im.tolist()
+        assert columns.tolist() == [j for j, v in enumerate(values) if v < 0 and -v in values]
+        assert len(columns) == mirrored
+        assert partner.tolist() == [values.index(-values[j]) for j in columns.tolist()]
+
+    def test_a_one_row_grid_is_refused_before_any_svd(self, monkeypatch):
+        # no grid of one row covers a spectrum with an eps margin
+        def no_work(*args, **kwargs):
+            raise AssertionError("SVD work started")
+
+        monkeypatch.setattr(np.linalg, "svd", no_work)
+        matrix = kp.koopman_matrix(kp.uniform_space(2), kp.MapTable((2, 1)))
+        with pytest.raises(GridTooCoarse):
+            kp.sigma_ap_eps(matrix, 1.0, kp.GridSpec(-2.25, 2.25, 0.0, 0.0, 0.25))
+
+    @settings(max_examples=50, deadline=None)
+    @given(tailed_cases(), st.complex_numbers(max_magnitude=3, allow_nan=False, allow_infinity=False))
+    def test_conjugate_point_takes_the_conjugate_input(self, case, z):
+        # B~ is real, so the SVD input at conj(z) is the entrywise conjugate of
+        # the input at z, and the two computed values lie within 2*delta
+        matrix, weights = case
+        with pytest.MonkeyPatch.context() as patch:
+            stacks = record_svd_stacks(patch)
+            values = [v for _, vs in kp._sigma_inf_many(matrix, [z, z.conjugate()], weights) for v in vs]
+        [stack] = stacks
+        assert np.array_equal(stack[1], np.conj(stack[0]))
+        delta = kp._svd_error_bound(matrix, weights, abs(z))
+        assert abs(values[1] - values[0]) <= 2 * delta
+        assert kp.sigma_inf(matrix, z.conjugate(), weights) == values[1]
+
+    @pytest.mark.parametrize("map_name,grid_name,eps_at", [
+        *itertools.product(MIRROR_MAPS, [g for g in MIRROR_GRIDS if g != "CLI default"],
+                           ["eps0", "lower-half value"]),
+        # the 22801-point grid only where eps is tight, and without the largest map
+        *((m, "CLI default", "lower-half value") for m in MIRROR_MAPS if m != "multi-component"),
+    ])
+    def test_kept_set_equals_per_point_reference(self, map_name, grid_name, eps_at):
+        # at a lower-half point's own value, eps sits within 2*delta of its partner's
+        image, weights = MIRROR_MAPS[map_name]
+        eps0, grid = MIRROR_GRIDS[grid_name]
+        matrix = kp.koopman_matrix(kp.uniform_space(len(image)), kp.MapTable(image))
+        grid = kp.GridSpec(*grid)
+        values = stacked_reference(matrix, grid, weights)
+        eps = eps0
+        if eps_at != "eps0":
+            lower = [v for z, v in zip(literal_points(grid), values) if z.imag < 0 and eps0 < v <= 1.25 * eps0]
+            eps = lower[len(lower) // 2]
+        assert kp.sigma_ap_eps(matrix, eps, grid, weights).points == \
+            reference_ap_eps(matrix, eps, grid, weights, values)
+
+    def test_a_tight_partner_leaves_its_mirror_to_its_own_svd(self, monkeypatch):
+        # the value at conj(z0) is raised 1.5*delta above eps = the value at z0:
+        # taking z0's decision would keep conj(z0), its own SVD drops it
+        image, _ = MIRROR_MAPS["one component"]
+        matrix = kp.koopman_matrix(kp.uniform_space(len(image)), kp.MapTable(image))
+        grid = boundary_grid(0.5)
+        points = literal_points(grid)
+        values = stacked_reference(matrix, grid, None)
+        z0, eps = next((z, v) for z, v in zip(points, values) if z.imag > 0 and 0.55 < v < 0.6)
+        mirror = z0.conjugate()
+        raise_by = 1.5 * kp._svd_error_bound(matrix, None, math.hypot(grid.re_hi, grid.im_hi))
+        values[points.index(mirror)] += raise_by
+        assert values[points.index(mirror)] > eps
+        svd, raised = np.linalg.svd, []
+
+        def patched(stack, *args, **kwargs):
+            out = svd(stack, *args, **kwargs)
+            for k, a in enumerate(stack):
+                if -a[0, 0] == mirror:  # node 1 is not fixed, so its diagonal entry is 0 - z
+                    out[k, -1] += raise_by
+                    raised.append(k)
+            return out
+
+        monkeypatch.setattr(np.linalg, "svd", patched)
+        approx = kp.sigma_ap_eps(matrix, eps, grid)
+        monkeypatch.undo()
+        assert raised
+        assert z0 in approx.points and mirror not in approx.points
+        assert approx.points == reference_ap_eps(matrix, eps, grid, None, values)
+
+    def test_lower_half_points_are_svd_d_only_for_tight_partners(self, monkeypatch):
+        # one component, so every SVD is of the whole matrix and reads z off its diagonal;
+        # eps is an upper-half value, so at least one partner is tight
+        image, _ = MIRROR_MAPS["one component"]
+        matrix = kp.koopman_matrix(kp.uniform_space(len(image)), kp.MapTable(image))
+        grid = boundary_grid(0.5)
+        points = literal_points(grid)
+        values = stacked_reference(matrix, grid, None)
+        eps = next(v for z, v in zip(points, values) if z.imag > 0 and 0.55 < v < 0.6)
+        stacks = record_svd_stacks(monkeypatch)
+        assert kp.sigma_ap_eps(matrix, eps, grid).points == reference_ap_eps(matrix, eps, grid, None, values)
+        monkeypatch.undo()
+        slack = 2 * kp._svd_error_bound(matrix, None, math.hypot(grid.re_hi, grid.im_hi))
+        value = dict(zip(points, values))
+        svd_points = full_matrix_points(stacks, matrix)
+        lower = [z for z in svd_points if z.imag < 0]
+        assert lower
+        for z in lower:
+            assert z.conjugate() in svd_points
+            assert abs(value[z.conjugate()] - eps) <= slack
+        assert len(lower) <= len(svd_points) // 10
