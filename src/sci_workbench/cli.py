@@ -538,16 +538,28 @@ def _cmd_reduce_verify(args, seed):
     ]
 
 
+#: Most intervals ``reduce compose`` takes: each composition calls into the one
+#: before it, so a chain costs Python stack depth in proportion to its length.
+_MAX_CHAIN = 64
+
+
 def _cmd_reduce_compose(args, seed):
+    parts = args.intervals.split(";")
+    if len(parts) > _MAX_CHAIN:
+        raise UsageError(f"--intervals holds {len(parts)} intervals, more than the {_MAX_CHAIN} a chain may have")
     chain = []
-    for part in args.intervals.split(";"):
-        a, b = part.split(",")
-        chain.append(ig.make_problem(ig.Interval(_fraction(a), _fraction(b))))
+    for part in parts:
+        ends = part.split(",")
+        if len(ends) != 2:
+            raise UsageError(f"--intervals part {part!r} is not an interval a,b")
+        chain.append(ig.make_problem(ig.Interval(_fraction(ends[0]), _fraction(ends[1]))))
     if len(chain) < 3:
         raise UsageError("--intervals needs at least three intervals, e.g. '0,1;0,2;0,4'")
-    first = ig.affine_reduction(chain[1], chain[0])
-    second = ig.affine_reduction(chain[2], chain[1])
-    composed = compose(first, second)
+    # compose the whole chain left to right; the width law is checked on the last step
+    composed = ig.affine_reduction(chain[1], chain[0])
+    for previous, nxt in zip(chain[1:], chain[2:]):
+        first, second = composed, ig.affine_reduction(nxt, previous)
+        composed = compose(first, second)
     report = verify_reduction(composed, args.samples, seed=seed)
     probe = composed.target.queries.canonical_ids[1]
     width = composed.plan.entry(probe).width

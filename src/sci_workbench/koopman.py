@@ -83,22 +83,21 @@ class MapTable:
 
 @dataclass(frozen=True)
 class KoopmanMatrix:
-    """Square 0/1 row-selection matrix: row i has its single 1 in column F(i)."""
+    """K_F held as its map table: the 0/1 matrix whose row i has its single 1 in column F(i)."""
 
-    entries: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self):
-        n = len(self.entries)
-        for row in self.entries:
-            if not (len(row) == n and row.count(1) == 1 and row.count(0) == n - 1):
-                raise ValueError("each row selects exactly one column")
+    table: MapTable
 
     @property
     def size(self) -> int:
-        return len(self.entries)
+        return self.table.size
+
+    @property
+    def entries(self) -> tuple[tuple[int, ...], ...]:
+        """The N x N 0/1 rows, built from the table on each call."""
+        return tuple(tuple(int(j == f) for j in range(1, self.size + 1)) for f in self.table.image)
 
     def image(self) -> tuple[int, ...]:
-        return tuple(row.index(1) + 1 for row in self.entries)
+        return self.table.image
 
     def as_array(self) -> np.ndarray:
         """The rows of the complex identity picked by the image: the entries as complex numbers."""
@@ -106,17 +105,13 @@ class KoopmanMatrix:
 
 
 def koopman_matrix(space: FiniteSpace, table: MapTable) -> KoopmanMatrix:
-    """The N x N matrix of K_F; more than ``DEFAULT_BUDGET`` entries raise :class:`BudgetExceeded` first."""
+    """The N x N matrix of K_F; more than ``DEFAULT_BUDGET`` entries raise :class:`BudgetExceeded` first,
+    since :meth:`KoopmanMatrix.as_array` forms all of them."""
     if table.size != space.size:
         raise ValueError("map table size differs from space size")
     n = space.size
     check_budget(f"koopman-matrix[N={n}]", n * n, "matrix entries")
-    rows = []
-    for column in table.image:
-        row = [0] * n
-        row[column - 1] = 1
-        rows.append(tuple(row))
-    return KoopmanMatrix(tuple(rows))
+    return KoopmanMatrix(table)
 
 
 def sigma_inf(matrix: KoopmanMatrix, z: complex, weights: Sequence[Fraction] | None = None) -> float:
@@ -673,10 +668,13 @@ def _compute_target(space: FiniteSpace, table: MapTable, target: TargetSpec) -> 
     raise ValueError(f"unknown spectral target {target!r}")
 
 
+def _evaluation_ids(n: int) -> tuple:
+    return tuple(("ev", i) for i in range(1, n + 1))
+
+
 def make_problem(space: FiniteSpace, tables: Sequence[MapTable], target: TargetSpec = AP) -> Problem:
     """Spectral problem over map tables with point-evaluation queries ev_i = F(i)."""
     n = space.size
-    ids = tuple(("ev", i) for i in range(1, n + 1))
 
     def resolver(qid):
         if (
@@ -699,7 +697,7 @@ def make_problem(space: FiniteSpace, tables: Sequence[MapTable], target: TargetS
         ),
         output_space=_HAUSDORFF_SPACE,
         target=lambda table: _compute_target(space, table, target),
-        queries=QueryFamily(f"koopman-evals[N={n}]", resolver, canonical_ids=ids),
+        queries=QueryFamily(f"koopman-evals[N={n}]", resolver, canonical_ids=_evaluation_ids(n)),
         params={"space": space, "target": target},
     )
 
@@ -713,13 +711,12 @@ def height0_algorithm(space: FiniteSpace, target: TargetSpec = AP) -> Tower:
     evaluations.
     """
     n = space.size
-    ids = tuple(("ev", i) for i in range(1, n + 1))
 
     def finish(values: tuple) -> CompactSetApprox:
         table = MapTable(tuple(int(v) for v in values))
         return _compute_target(space, table, target)
 
-    alg = fixed_query_algorithm(f"koopman-collapse[N={n}]", ids, finish)
+    alg = fixed_query_algorithm(f"koopman-collapse[N={n}]", _evaluation_ids(n), finish)
     return Tower(f"koopman-collapse[N={n}]", 0, lambda _idx, _alg=alg: _alg)
 
 

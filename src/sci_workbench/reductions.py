@@ -284,12 +284,17 @@ def verify_reduction(
     numbers.  A NaN gap, of a query or of a target, is a failure and leaves
     ``max_discrepancy`` finite.  An encoded input the target does not admit
     counts as a target failure per draw and draws no ids.  Failures are
-    report content, never exceptions.  More than ``DEFAULT_BUDGET`` sampled
-    queries raise :class:`BudgetExceeded` before any sampling.  The report
-    records ``reduction``, which the certificates check it against.
+    report content, never exceptions.  Every sample draws at least one
+    query, so a plan that covers no id cannot pass: a ``sample_count`` or
+    ``queries_per_sample`` below 1 raises ValueError.  More than
+    ``DEFAULT_BUDGET`` sampled queries raise :class:`BudgetExceeded` before
+    any sampling.  The report records ``reduction``, which the certificates
+    check it against.
     """
     if sample_count < 1:
         raise ValueError("sample_count must be >= 1")
+    if queries_per_sample < 1:
+        raise ValueError("queries_per_sample must be >= 1")
     if not tol >= 0:
         raise ValueError(f"tol must be a non-negative number, got {tol}")
     check_budget(f"verify[{reduction.name}]", sample_count * queries_per_sample)

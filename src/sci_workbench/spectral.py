@@ -240,8 +240,10 @@ class WindowApproximant:
 
 
 def window_approximant(window: Window, n: int) -> WindowApproximant:
+    """r_n; an index over ``DEFAULT_BUDGET`` raises :class:`BudgetExceeded` before 2^(n+2) is built."""
     if n < 1:
         raise ValueError("approximant index must be >= 1")
+    check_budget("window-approximant", n, "dyadic bits")
     scale = 2 ** (n + 2)
     p, q = window.z.numerator, window.z.denominator
     floor = p * scale // q
@@ -366,26 +368,27 @@ def source_problem(j_domain: Domain, pairs: Sequence[Pair], name: str | None = N
     )
 
 
-def decision_tower(j_domain: Domain, threshold: Callable[[int], Fraction] | None = None) -> Tower:
+def decision_tower(j_domain: Domain) -> Tower:
     """Derived height-2 decision tower (an upper-bound witness on the catalog).
 
     Stage (n2, n1) asks rho_(n2) and the first n1 diagonal entries and
-    returns 1 iff min_j |d_j - r_(n2)| exceeds the stage threshold
-    (default 2^-n2, which dominates the window error 2^-(n2+2) with margin).
+    returns 1 iff min_j |d_j - r_(n2)| exceeds the stage threshold 2^-n2,
+    which dominates the window error 2^-(n2+2) with margin.
     The inner value is binary and nonincreasing in n1, hence convergent;
     the outer limit is validated against the exact oracle on the catalog,
-    not assumed.
+    not assumed.  An n2 over ``DEFAULT_BUDGET`` raises :class:`BudgetExceeded`
+    before the threshold is built.
     """
-    thr = threshold or (lambda n2: Fraction(1, 2**n2))
 
     def stages(idx: tuple[int, ...]):
         n2, n1 = idx
         if n2 < 1 or n1 < 1:
             raise ValueError("stage indices must be >= 1")
         name = f"decide[{j_domain}]@({n2},{n1})"
+        check_budget(name, n2, "dyadic bits")
         check_budget(name, n1 + 1)
         ids = (("rho", n2),) + tuple(("mu", j, j) for j in range(1, n1 + 1))
-        cut = thr(n2)
+        cut = Fraction(1, 2**n2)
 
         def finish(vals):
             return 1 if _all_farther(vals[1:], vals[0], cut) else 0

@@ -140,6 +140,85 @@ def test_readme_cli_examples_pass(argv, capsys):
     assert main(argv) == 0
 
 
+THREE_INTERVAL_COMPOSE_JSON = """{
+  "checks": [
+    {
+      "measured": 0.0,
+      "name": "composed reduction verifies",
+      "passed": true,
+      "tolerance": null
+    },
+    {
+      "measured": 1,
+      "name": "blockwise width law",
+      "passed": true,
+      "tolerance": 1
+    }
+  ],
+  "command": "reduce compose",
+  "parameters": {
+    "intervals": "0,1;0,2;0,4",
+    "samples": 60
+  },
+  "result": {
+    "composed": "affine[[0,1]->[0,2]]>>affine[[0,2]->[0,4]]",
+    "probe_width": 1,
+    "report": {
+      "max_discrepancy": 0.0,
+      "queries_per_sample": 20,
+      "query_failures": 0,
+      "samples": 60,
+      "seed": 0,
+      "target_failures": 0,
+      "tol": 1e-09
+    }
+  },
+  "schema": "sci-workbench/run-report@1",
+  "seed": 0
+}
+"""
+
+
+class TestReduceCompose:
+    def test_three_interval_report_is_unchanged(self, monkeypatch, capsys):
+        monkeypatch.delenv("SCI_WORKBENCH_SEED", raising=False)
+        assert main(["--json", "reduce", "compose", "--intervals", "0,1;0,2;0,4"]) == 0
+        assert capsys.readouterr().out == THREE_INTERVAL_COMPOSE_JSON
+
+    def test_every_interval_of_the_chain_is_composed(self):
+        report = dispatch(["reduce", "compose", "--intervals", "0,1;0,2;0,4;0,8", "--samples", "20"])
+        assert report.passed
+        assert report.result["composed"] == (
+            "affine[[0,1]->[0,2]]>>affine[[0,2]->[0,4]]>>affine[[0,4]->[0,8]]"
+        )
+        assert [(c.name, c.passed) for c in report.checks] == [
+            ("composed reduction verifies", True), ("blockwise width law", True)]
+        assert report.result["report"]["samples"] == 20 and report.result["report"]["query_failures"] == 0
+
+    def test_a_chain_longer_than_the_bound_exits_2_before_any_work(self, monkeypatch, capsys):
+        from sci_workbench import cli
+
+        def no_work(*args):
+            raise AssertionError("work started")
+
+        monkeypatch.setattr(ig, "make_problem", no_work)
+        chain = ";".join(f"0,{k}" for k in range(1, cli._MAX_CHAIN + 2))
+        assert main(["reduce", "compose", "--intervals", chain]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"usage error: --intervals holds {cli._MAX_CHAIN + 1} intervals, more than the {cli._MAX_CHAIN}")
+        assert "Traceback" not in err
+        monkeypatch.undo()
+        chain = ";".join(f"0,{k}" for k in range(1, cli._MAX_CHAIN + 1))
+        assert main(["reduce", "compose", "--intervals", chain, "--samples", "2"]) == 0
+
+    @pytest.mark.parametrize("part", ["0,2,3", "0", ""])
+    def test_a_part_that_is_not_an_interval_is_named(self, part, capsys):
+        assert main(["reduce", "compose", "--intervals", f"0,1;{part};0,4"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"usage error: --intervals part {part!r} is not an interval a,b")
+        assert "Traceback" not in err
+
+
 FUNCTION_KINDS = ("poly", "sine", "bump")
 
 
@@ -401,6 +480,8 @@ OVERSIZED = {
                           "--n", "2000000"],
     "spectral-decide-n1": ["spectral", "decide", "--diagonal", "const:2", "--z", "1",
                            "--n1", "2000000"],
+    "spectral-decide-n2": ["spectral", "decide", "--diagonal", "const:2", "--z", "1",
+                           "--n2", "1000001"],
     "reduce-pullback-n": ["reduce", "pullback", "--interval", "0", "2", "--n", "2000000"],
     "integrate-reduce-samples": ["integrate", "reduce", "--interval", "0", "2",
                                  "--samples", "10000000"],

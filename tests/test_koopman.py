@@ -32,8 +32,11 @@ class TestMatrices:
         assert all(row[0] == 1 and sum(row) == 1 for row in m.entries)
 
     def test_row_invariant_enforced(self):
-        with pytest.raises(ValueError):
-            kp.KoopmanMatrix(((1, 1), (0, 1)))
+        # K_F is held as its map table, so the one-1-per-row invariant is the table's
+        with pytest.raises(ValueError, match="empty map table"):
+            kp.MapTable(())
+        with pytest.raises(ValueError, match=r"map values must lie in 1\.\.2"):
+            kp.MapTable((3, 2))
 
     def test_zero_weight_rejected(self):
         with pytest.raises(ValueError):
@@ -719,12 +722,20 @@ class TestMatrixBuild:
         array, reference = matrix.as_array(), np.array(entries, dtype=complex)
         assert array.dtype == reference.dtype and array.tobytes() == reference.tobytes()
 
-    @pytest.mark.parametrize("rows", [((0, 0), (0, 1)), ((2, -1), (0, 1)), ((1, 1), (1, 0)),
-                                      ((1, 0, 0), (0, 2, 0), (0, 0, 1)), ((1, 0), (0, 1, 5)),
-                                      ((0, 1, 0),), ((1, 0), (0, 1), (1, 0))])
-    def test_rows_that_select_no_single_column_are_refused(self, rows):
-        with pytest.raises(ValueError, match="each row selects exactly one column"):
-            kp.KoopmanMatrix(rows)
+    # a row of K_F selects column F(i): a value outside 1..N selects none, and a
+    # table whose size is not the space's gives rows and columns of different counts
+    @pytest.mark.parametrize("n,image,message", [
+        (2, (0, 2), r"map values must lie in 1\.\.2"),
+        (2, (-1, 2), r"map values must lie in 1\.\.2"),
+        (2, (3, 1), r"map values must lie in 1\.\.2"),
+        (3, (1, 4, 3), r"map values must lie in 1\.\.3"),
+        (2, (1, 2, 3, 4), "map table size differs from space size"),
+        (3, (1,), "map table size differs from space size"),
+        (2, (1, 2, 1), "map table size differs from space size"),
+    ], ids=["zero", "negative", "past-n", "past-n-of-3", "longer-table", "shorter-table", "one-row-too-many"])
+    def test_rows_that_select_no_single_column_are_refused(self, n, image, message):
+        with pytest.raises(ValueError, match=message):
+            kp.koopman_matrix(kp.uniform_space(n), kp.MapTable(image))
 
 
 class TestWeightRange:

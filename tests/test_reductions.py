@@ -245,6 +245,16 @@ class TestVerify:
         with pytest.raises(ValueError, match="tol must be a non-negative number"):
             verify_reduction(ig.affine_reduction(chain[1], chain[0]), 5, tol)
 
+    @pytest.mark.parametrize("queries", [0, -1])
+    def test_at_least_one_query_per_sample(self, chain, queries):
+        # with no query drawn, a plan that covers no id would pass
+        uncovered = dataclasses.replace(ig.affine_reduction(chain[1], chain[0]),
+                                        plan=QueryPlan("none", lambda qid: None))
+        with pytest.raises(ValueError, match="queries_per_sample must be >= 1"):
+            verify_reduction(uncovered, 5, queries_per_sample=queries)
+        report = verify_reduction(uncovered, 5, queries_per_sample=1)
+        assert not report.passed and report.query_failures == 5
+
     def test_oversized_request_refused_before_sampling(self, chain, monkeypatch):
         def no_sampling(*args):
             raise AssertionError("sampled")

@@ -13,6 +13,16 @@ from sci_workbench.reductions import compose, verify_reduction
 J = sp.domain(0, 1)
 
 
+class NoPower(int):
+    """An index whose power of two, or any sum on the way to one, fails instead of being built."""
+
+    def __add__(self, other):
+        raise AssertionError("power built")
+
+    def __rpow__(self, other):
+        raise AssertionError("power built")
+
+
 class TestWindowApproximant:
     def test_one_third(self):
         approx = sp.window_approximant(sp.Window(Fraction(1, 3), J), 1)
@@ -31,6 +41,14 @@ class TestWindowApproximant:
     def test_dyadic_bound_strict(self, z, n):
         approx = sp.window_approximant(sp.Window(z, J), n)
         assert abs(approx.value - z) < Fraction(1, 2 ** (n + 2))
+
+    def test_index_over_the_budget_is_refused_before_the_power(self):
+        with pytest.raises(BudgetExceeded, match=r"window-approximant would need 1000001 dyadic bits"):
+            sp.window_approximant(sp.Window(Fraction(1, 3), J), DEFAULT_BUDGET + 1)
+        with pytest.raises(BudgetExceeded):  # 2^(10^12) would not fit in memory
+            sp.window_approximant(sp.Window(Fraction(1, 3), J), NoPower(10**12))
+        with pytest.raises(AssertionError, match="power built"):  # the budget itself is allowed
+            sp.window_approximant(sp.Window(Fraction(1, 3), J), NoPower(DEFAULT_BUDGET))
 
     def test_window_outside_domain(self):
         with pytest.raises(WindowOutsideDomain):
@@ -145,6 +163,17 @@ class TestDecisionTower:
             tower.stage((1, DEFAULT_BUDGET))
         with pytest.raises(AssertionError, match="query ids built"):
             tower.stage((1, 8))
+
+    def test_n2_over_the_budget_is_refused_before_the_threshold(self, monkeypatch):
+        def no_algorithm(*args):
+            raise AssertionError("query ids built")
+
+        monkeypatch.setattr(sp, "fixed_query_algorithm", no_algorithm)
+        tower = sp.decision_tower(J)
+        with pytest.raises(BudgetExceeded, match=r"would need 1000000000000 dyadic bits"):
+            tower.stage((NoPower(10**12), 1))
+        with pytest.raises(AssertionError, match="power built"):
+            tower.stage((NoPower(DEFAULT_BUDGET), 1))
 
     def test_oracle_agreement_at_derived_stages(self, spectral_source):
         tower = sp.decision_tower(spectral_source.params["domain"])
