@@ -63,6 +63,11 @@ class Query:
         return f"Query({self.id!r})"
 
 
+def _same(key):
+    """The default draw-key map: a key is its own id."""
+    return key
+
+
 class QueryFamily:
     """A (possibly infinite) family of evaluation maps addressed by structured ids.
 
@@ -72,6 +77,13 @@ class QueryFamily:
     consistency checks; ``sampler`` may widen that to a rule-based draw.
     A family constructed via :meth:`empty` has no members at all, which the
     appendix constructions rely on.
+
+    Verification draws keys, not ids.  ``sampler(rng)`` returns a cheap
+    hashable draw key and ``key_id`` maps it to the member id it stands
+    for; ``key_id`` is a function, so equal keys name equal ids, and a
+    family whose equal ids share one key (the integration grid, say) lets
+    verification build each id once.  Without ``key_id`` a key is its own
+    id, and a draw from ``canonical_ids`` always is.
     """
 
     def __init__(
@@ -80,13 +92,15 @@ class QueryFamily:
         resolver: Callable[[QueryId], Callable[[Any], Any] | None] | None,
         *,
         canonical_ids: Iterable[QueryId] = (),
-        sampler: Callable[[Any], QueryId] | None = None,
+        sampler: Callable[[Any], Any] | None = None,
+        key_id: Callable[[Any], QueryId] | None = None,
         separators: Callable[[Any, Any], Iterable[QueryId]] | None = None,
     ):
         self.name = name
         self._resolver = resolver
         self.canonical_ids = tuple(canonical_ids)
         self._sampler = sampler
+        self.key_id = key_id if key_id is not None else _same
         self._separators = separators
 
     @classmethod
@@ -111,8 +125,8 @@ class QueryFamily:
     def __contains__(self, query_id: QueryId) -> bool:
         return self._resolver is not None and self._resolver(query_id) is not None
 
-    def sample_ids(self, rng, count: int) -> list[QueryId]:
-        """Deterministic-in-seed draw of member ids for verification."""
+    def sample_keys(self, rng, count: int) -> list:
+        """Deterministic-in-seed draw of ``count`` member keys for verification (see :attr:`key_id`)."""
         if self.is_empty:
             return []
         if self._sampler is not None:
@@ -120,6 +134,11 @@ class QueryFamily:
         if not self.canonical_ids:
             return []
         return [rng.choice(self.canonical_ids) for _ in range(count)]
+
+    def sample_ids(self, rng, count: int) -> list[QueryId]:
+        """The ids of the keys :meth:`sample_keys` draws, with the same rng calls."""
+        key_id = self.key_id
+        return [key_id(key) for key in self.sample_keys(rng, count)]
 
     def separator_ids(self, input_a, input_b) -> Iterator[QueryId]:
         """Candidate ids for separating two catalog inputs (consistency checks)."""

@@ -82,12 +82,19 @@ def upper_bound_join(p0: Problem, p1: Problem) -> JoinResult:
         ("pad", i, qid) for i, p in enumerate(components) for qid in p.queries.canonical_ids[:4]
     )
 
+    # a draw is keyed by the tag query itself or by (i, the component's draw key);
+    # the checks above leave every component family something to draw
     def sampler(rng):
         if rng.randrange(8) == 0:
             return TAG_QUERY
         i = rng.randrange(2)
-        inner = components[i].queries.sample_ids(rng, 1)
-        return ("pad", i, inner[0] if inner else components[i].queries.canonical_ids[0])
+        return i, components[i].queries.sample_keys(rng, 1)[0]
+
+    def key_id(key):
+        if key == TAG_QUERY:
+            return TAG_QUERY
+        i, inner = key
+        return ("pad", i, components[i].queries.key_id(inner))
 
     def separators(a, b):
         yield TAG_QUERY
@@ -113,6 +120,7 @@ def upper_bound_join(p0: Problem, p1: Problem) -> JoinResult:
             resolver,
             canonical_ids=canonical,
             sampler=sampler,
+            key_id=key_id,
             separators=separators,
         ),
         params={"components": (p0.name, p1.name)},

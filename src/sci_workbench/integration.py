@@ -59,7 +59,15 @@ def interval(a, b) -> Interval:
 
 
 class FunctionDescription:
-    """Finite symbolic description of a continuous real function."""
+    """Finite symbolic description of a continuous real function.
+
+    A description whose rational points have exact rational values may give
+    an integer ``kernel(p, q) -> (num, den)`` with ``value(p/q) == num/den``
+    for any integers p and q > 0, neither side normalised.  The default
+    ``None`` means the value is not exact (a sine's float, say).
+    """
+
+    kernel = None
 
     def value(self, x):
         raise NotImplementedError
@@ -95,23 +103,25 @@ class Polynomial(FunctionDescription):
         for i, c in enumerate(self.coeffs):
             _require_rational(f"Polynomial.coeffs[{i}]", c)
         # the coefficients as one integer vector over a common denominator,
-        # highest degree first, for the integer Horner kernel of value()
+        # highest degree first (leading one apart), for the integer Horner kernel
         den = math.lcm(*(c.denominator for c in self.coeffs))
-        ints = tuple(c.numerator * (den // c.denominator) for c in reversed(self.coeffs))
-        object.__setattr__(self, "_horner", (den, ints))
+        ints = tuple(c.numerator * (den // c.denominator) for c in reversed(self.coeffs)) or (0,)
+        object.__setattr__(self, "_horner", (den, ints[0], ints[1:]))
+
+    def kernel(self, p: int, q: int) -> tuple[int, int]:
+        """q^deg * P(p/q) by integer Horner, over den * q^deg."""
+        den, num, rest = self._horner
+        qk = 1
+        for c in rest:
+            qk *= q
+            num = num * p + c * qk
+        return num, den * qk
 
     def value(self, x):
+        if isinstance(x, Fraction):
+            return Fraction(*self.kernel(x.numerator, x.denominator))
         if not self.coeffs:
             return Fraction(0)
-        if isinstance(x, Fraction):
-            # q^deg * P(p/q) by integer Horner, then one normalising Fraction
-            den, (num, *rest) = self._horner
-            p, q = x.numerator, x.denominator
-            qk = 1
-            for c in rest:
-                qk *= q
-                num = num * p + c * qk
-            return Fraction(num, den * qk)
         acc = self.coeffs[-1]
         for c in reversed(self.coeffs[:-1]):
             acc = acc * x + c
@@ -188,12 +198,14 @@ class Bump(FunctionDescription):
     def apex(self) -> Fraction:
         return (self.u + self.v) / 2
 
+    def kernel(self, p: int, q: int) -> tuple[int, int]:
+        d2, s, w = self._tent
+        num = w * q - abs(d2 * p - s * q)
+        return (num, w * q) if num > 0 else (0, 1)
+
     def value(self, x):
         if type(x) is Fraction or isinstance(x, Rational):
-            d2, s, w = self._tent
-            p, q = x.numerator, x.denominator
-            num = w * q - abs(d2 * p - s * q)
-            return Fraction(num, w * q) if num > 0 else Fraction(0)
+            return Fraction(*self.kernel(x.numerator, x.denominator))
         slope = Fraction(2, 1) / (self.v - self.u)
         return max(1 - slope * abs(x - self.apex), Fraction(0))
 
@@ -214,7 +226,12 @@ class Bump(FunctionDescription):
 
 @dataclass(frozen=True)
 class AffineImage(FunctionDescription):
-    """scale * base(alpha * x + beta); closes the catalog under affine encodings."""
+    """scale * base(alpha * x + beta); closes the catalog under affine encodings.
+
+    An image has a kernel exactly when its base has one: it maps the inner
+    point through the base's kernel unnormalised, so a rational point of a
+    nested image costs one normalising Fraction at any depth.
+    """
 
     base: FunctionDescription
     scale: Fraction
@@ -230,16 +247,23 @@ class AffineImage(FunctionDescription):
         an, ad = self.alpha.numerator, self.alpha.denominator
         bn, bd = self.beta.numerator, self.beta.denominator
         sn, sd = self.scale.numerator, self.scale.denominator
-        object.__setattr__(self, "_affine", (an * bd, bn * ad, ad * bd, sn, sd))
+        m, k, d = an * bd, bn * ad, ad * bd
+        object.__setattr__(self, "_inner", (m, k, d))
+        base_kernel = self.base.kernel
+        if base_kernel is not None:
+            def kernel(p: int, q: int) -> tuple[int, int]:
+                num, den = base_kernel(m * p + k * q, d * q)
+                return sn * num, sd * den
+
+            object.__setattr__(self, "kernel", kernel)
 
     def value(self, x):
         if type(x) is Fraction or isinstance(x, Rational):
-            m, k, d, sn, sd = self._affine
             p, q = x.numerator, x.denominator
-            y = self.base.value(Fraction(m * p + k * q, d * q))
-            if type(y) is Fraction:
-                return Fraction(sn * y.numerator, sd * y.denominator)
-            return self.scale * y
+            if self.kernel is not None:
+                return Fraction(*self.kernel(p, q))
+            m, k, d = self._inner
+            return self.scale * self.base.value(Fraction(m * p + k * q, d * q))
         return self.scale * self.base.value(self.alpha * x + self.beta)
 
     def integral(self, a, b):
@@ -327,9 +351,14 @@ def make_problem(iv: Interval, functions: Sequence[FunctionDescription] | None =
     else:
         canonical = tuple(grid_point(j, 8) for j in range(9))
 
+    # a draw j/den is keyed by its index j * (64 // den) on the 1/64 grid,
+    # so equal points share one integer key
     def sampler(rng):
         den = rng.choice((8, 16, 32, 64))
-        return grid_point(rng.randrange(den + 1), den)
+        return rng.randrange(den + 1) * (64 // den)
+
+    def key_id(k: int):
+        return grid_point(k, 64)
 
     def separators(f, g):
         for den in range(1, 65):
@@ -349,6 +378,7 @@ def make_problem(iv: Interval, functions: Sequence[FunctionDescription] | None =
             resolver,
             canonical_ids=canonical,
             sampler=None if iv.degenerate else sampler,
+            key_id=None if iv.degenerate else key_id,
             separators=None if iv.degenerate else separators,
         ),
         params=iv,

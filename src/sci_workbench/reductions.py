@@ -28,7 +28,7 @@ from .core import (
     Tower,
     check_budget,
 )
-from .errors import PlanGap, ProblemMismatch, TagIncompatible
+from .errors import EmptyInputClass, PlanGap, ProblemMismatch, TagIncompatible
 
 
 class DecoderClass(enum.Enum):
@@ -245,10 +245,6 @@ def _mismatch(want, got, gap, tol: float) -> bool:
     return not gap <= tol
 
 
-#: marks a target id whose plan entry a :func:`verify_reduction` call has not expanded yet
-_UNEXPANDED = object()
-
-
 def verify_reduction(
     reduction: Reduction,
     sample_count: int = 100,
@@ -263,18 +259,20 @@ def verify_reduction(
     order the rng gives it.  A new input is keyed by identity (the table
     keeps it alive, so inputs need not be hashable) and is encoded and
     checked for admission once.  An admitted draw then draws its target
-    ids, tallied per input as distinct id -> draw count.  The check phase
-    visits each distinct admitted input once: one target check, one round
-    of its distinct covered target ids (in first-draw order) on the encoded
-    input, and one round of their concatenated plan blocks on the source
-    input.  Every map in the two equations is a function, so a repeated
-    draw cannot change its outcome: each failure counts once per draw, and
-    the report equals a check of every draw in turn.  The table holds one
-    count per distinct drawn (input, id) pair, at most ``sample_count *
-    queries_per_sample``, which the budget check caps at ``DEFAULT_BUDGET``.
-    The plan is a function too, so each distinct target id is expanded
-    through ``plan.entry`` once per call, whichever inputs drew it; that
-    memo holds at most as many entries as the table holds counts.
+    query keys (see :class:`QueryFamily`), tallied per input as distinct
+    key -> draw count.  The check phase visits each distinct admitted
+    input once: one target check, one round of the ids of its distinct
+    covered keys (in first-draw order) on the encoded input, and one round
+    of their concatenated plan blocks on the source input.  Every map in
+    the two equations is a function, so a repeated draw cannot change its
+    outcome: each failure counts once per draw, and the report equals a
+    check of every draw in turn.  The table holds one count per distinct
+    drawn (input, key) pair, at most ``sample_count * queries_per_sample``,
+    which the budget check caps at ``DEFAULT_BUDGET``.  ``key_id`` and the
+    plan are functions too, so each distinct key is turned into its id,
+    and that id expanded through ``plan.entry``, once per call, whichever
+    inputs drew it; that memo holds at most as many entries as the table
+    holds counts.
 
     A plan gap is a query failure.  Equal query answers are settled by
     that comparison.  Unequal numeric answers add their gap to
@@ -283,13 +281,14 @@ def verify_reduction(
     fail.  Targets compare through the output distance in the same way as
     numbers.  A NaN gap, of a query or of a target, is a failure and leaves
     ``max_discrepancy`` finite.  An encoded input the target does not admit
-    counts as a target failure per draw and draws no ids.  Failures are
+    counts as a target failure per draw and draws no keys.  Failures are
     report content, never exceptions.  Every sample draws at least one
     query, so a plan that covers no id cannot pass: a ``sample_count`` or
-    ``queries_per_sample`` below 1 raises ValueError.  More than
-    ``DEFAULT_BUDGET`` sampled queries raise :class:`BudgetExceeded` before
-    any sampling.  The report records ``reduction``, which the certificates
-    check it against.
+    ``queries_per_sample`` below 1 raises ValueError.  A source with an
+    empty input catalog raises :class:`EmptyInputClass`, and more than
+    ``DEFAULT_BUDGET`` sampled queries raise :class:`BudgetExceeded`, both
+    before any sampling.  The report records ``reduction``, which the
+    certificates check it against.
     """
     if sample_count < 1:
         raise ValueError("sample_count must be >= 1")
@@ -297,17 +296,20 @@ def verify_reduction(
         raise ValueError("queries_per_sample must be >= 1")
     if not tol >= 0:
         raise ValueError(f"tol must be a non-negative number, got {tol}")
+    source, target = reduction.source, reduction.target
+    if len(source.inputs) == 0:
+        raise EmptyInputClass(f"{source.name} has an empty input catalog, so there is nothing to sample")
     check_budget(f"verify[{reduction.name}]", sample_count * queries_per_sample)
     rng = random.Random(seed)
-    source, target = reduction.source, reduction.target
     distance = source.output_space.distance
+    key_id = target.queries.key_id
     target_failures = 0
     query_failures = 0
     max_discrepancy = 0.0
 
-    # id(a) -> [a, encoded, admitted draws, Counter of target id draws or None if refused]
+    # id(a) -> [a, encoded, admitted draws, Counter of target key draws or None if refused]
     table: dict[int, list] = {}
-    plan_entries: dict = {}  # target id -> plan.entry(id), None for a gap
+    expanded: dict = {}  # target key -> (its id, plan.entry(id) or None for a gap)
     for _ in range(sample_count):
         a = source.inputs.sample(rng)
         row = table.get(id(a))
@@ -319,7 +321,7 @@ def verify_reduction(
             target_failures += 1
             continue
         row[2] += 1
-        tally.update(target.queries.sample_ids(rng, queries_per_sample))
+        tally.update(target.queries.sample_keys(rng, queries_per_sample))
 
     for a, encoded, draws, tally in table.values():
         if tally is None:
@@ -332,10 +334,12 @@ def verify_reduction(
             target_failures += draws
 
         covered, entries, counts = [], [], []
-        for qid, count in tally.items():
-            entry = plan_entries.get(qid, _UNEXPANDED)
-            if entry is _UNEXPANDED:
-                entry = plan_entries[qid] = reduction.plan.entry(qid)
+        for key, count in tally.items():
+            slot = expanded.get(key)
+            if slot is None:
+                qid = key_id(key)
+                slot = expanded[key] = (qid, reduction.plan.entry(qid))
+            qid, entry = slot
             if entry is None:
                 query_failures += count
             else:

@@ -127,6 +127,22 @@ def test_non_object_spec_values_exit_2(argv, tmp_path, capsys):
     assert err.startswith("catalog error:") and "Traceback" not in err
 
 
+EMPTY_CATALOG_PROBLEMS = {
+    "integration": '{"problem":"integration","params":{"interval":["0","1"],"functions":[]}}',
+    "koopman": '{"problem":"koopman","params":{"weights":["1"],"maps":[]}}',
+    "spectral-source": '{"problem":"spectral_source","params":{"domain":["0","1"],"pairs":[]}}',
+}
+
+
+@pytest.mark.parametrize("problem", EMPTY_CATALOG_PROBLEMS.values(), ids=EMPTY_CATALOG_PROBLEMS.keys())
+def test_verify_over_an_empty_input_catalog_exits_2(problem, capsys):
+    spec = '{"rule":"identity","params":{"problem":%s}}' % problem
+    assert main(["reduce", "verify", "--spec", spec]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: EmptyInputClass:") and "Traceback" not in captured.err
+    assert captured.out == ""
+
+
 ROOT = Path(__file__).resolve().parents[1]
 README_CLI = (ROOT / "README.md").read_text().split("## CLI", 1)[1].split("\n## ", 1)[0]
 README_COMMANDS = [
@@ -507,7 +523,7 @@ def test_oversized_request_exits_2_before_any_work(argv, monkeypatch, capsys):
     monkeypatch.setattr(ig, "_grid_ids", no_work)
     monkeypatch.setattr(sp, "fixed_query_algorithm", no_work)
     monkeypatch.setattr(core.InputCatalog, "sample", no_work)
-    monkeypatch.setattr(core.QueryFamily, "sample_ids", no_work)
+    monkeypatch.setattr(core.QueryFamily, "sample_keys", no_work)
     assert main(["--json", *argv]) == 2
     captured = capsys.readouterr()
     assert captured.err.startswith("error: BudgetExceeded:") and "Traceback" not in captured.err

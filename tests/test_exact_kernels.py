@@ -5,6 +5,7 @@ for.  Every kernel must return a value equal to its reference and of the
 same type; floats must match bit for bit (compared through ``repr``).
 """
 
+import contextlib
 import re
 from fractions import Fraction
 
@@ -56,6 +57,23 @@ def ref_value(f, x):
     if isinstance(f, ig.AffineImage):
         return f.scale * ref_value(f.base, f.alpha * x + f.beta)
     return f.value(x)  # Sine: unchanged
+
+
+@contextlib.contextmanager
+def fractions_built():
+    """Record the arguments of every Fraction built inside the block."""
+    built = []
+    new = Fraction.__dict__["__new__"]
+
+    def counting(cls, *args, **kwargs):
+        built.append(args)
+        return new.__func__(cls, *args, **kwargs)
+
+    Fraction.__new__ = staticmethod(counting)
+    try:
+        yield built
+    finally:
+        Fraction.__new__ = new
 
 
 def ref_member(iv, qid):
@@ -123,6 +141,29 @@ def test_polynomial_value_matches_reference(f, x):
 @given(AFFINES, st.one_of(SMALL, st.integers(-60, 60), st.booleans(), FLOATS))
 def test_affine_image_value_matches_reference(f, x):
     same(f.value(x), ref_value(f, x))
+
+
+@st.composite
+def nested_images(draw):
+    """An AffineImage of depth 1 to 3 over a polynomial, a bump or a sine."""
+    f = draw(st.one_of(POLYS, BUMPS, SINES))
+    for _ in range(draw(st.integers(1, 3))):
+        f = ig.AffineImage(f, draw(SMALL), draw(POSITIVE), draw(SMALL))
+    return f
+
+
+@settings(max_examples=150, deadline=None)
+@given(nested_images(), st.one_of(SMALL, st.integers(-60, 60), st.booleans(), FLOATS))
+def test_nested_affine_image_matches_reference_and_normalises_once(f, x):
+    want = ref_value(f, x)
+    with fractions_built() as built:
+        got = f.value(x)
+    same(got, want)
+    leaf = f
+    while isinstance(leaf, ig.AffineImage):
+        leaf = leaf.base
+    if not isinstance(leaf, ig.Sine) and not isinstance(x, float):
+        assert len(built) == 1  # the answer itself, at any depth
 
 
 def test_affine_image_covers_every_base_kind():

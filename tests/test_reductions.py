@@ -21,7 +21,14 @@ from sci_workbench.core import (
     evaluate_tower,
     run_algorithm,
 )
-from sci_workbench.errors import BudgetExceeded, PlanGap, ProblemMismatch, ProtocolViolation, TagIncompatible
+from sci_workbench.errors import (
+    BudgetExceeded,
+    EmptyInputClass,
+    PlanGap,
+    ProblemMismatch,
+    ProtocolViolation,
+    TagIncompatible,
+)
 from sci_workbench.reductions import (
     Decoder,
     DecoderClass,
@@ -267,6 +274,17 @@ class TestVerify:
             verify_reduction(reduction, 2, queries_per_sample=DEFAULT_BUDGET)
         with pytest.raises(AssertionError, match="sampled"):  # the budget itself is allowed
             verify_reduction(reduction, DEFAULT_BUDGET // 20)
+
+    def test_empty_input_catalog_refused_before_sampling(self, chain, monkeypatch):
+        def no_sampling(*args):
+            raise AssertionError("sampled")
+
+        monkeypatch.setattr(InputCatalog, "sample", no_sampling)
+        monkeypatch.setattr(QueryFamily, "sample_keys", no_sampling)
+        empty = ig.make_problem(ig.interval(0, 1), ())
+        for reduction in (identity_reduction(empty), ig.affine_reduction(chain[1], empty)):
+            with pytest.raises(EmptyInputClass, match="empty input catalog"):
+                verify_reduction(reduction, 5)
 
     def test_stabilization_forward_mixed_blocks(self, spectral_source):
         domain = spectral_source.params["domain"]

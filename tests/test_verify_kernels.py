@@ -4,7 +4,9 @@
 equal query answers were settled by equality and before each distinct
 (input, id) draw was checked once: it checks every draw in turn, and every
 numeric answer pays the gap arithmetic.  ``reference_sampler`` and ``reference_grid_point``
-build sampled and canonical point ids as ``a + length * Fraction(j, den)``,
+build sampled and canonical point ids as ``a + length * Fraction(j, den)``;
+``reference_window_sampler`` and ``reference_join_sampler`` are the window
+and padded id samplers as they were before verification drew keys;
 and ``reference_approximant`` takes the window floor through a Fraction
 product.  Reports are compared through ``repr``, so every field, floats
 included, must match bit for bit.  NaN answers are left out: the
@@ -110,6 +112,35 @@ def reference_grid_point(iv, j, den):
 def reference_sampler(iv, rng):
     den = rng.choice((8, 16, 32, 64))
     return ("ev", iv.a + iv.length * Fraction(rng.randrange(den + 1), den))
+
+
+def reference_window_sampler(entry, rng):
+    kind = rng.randrange(4)
+    if kind == 0:
+        return ("rho", rng.randrange(1, 13))
+    return entry(rng, kind)
+
+
+def reference_source_entry(rng, kind):
+    if kind == 1:
+        return ("mu", rng.randrange(1, 9), rng.randrange(1, 9))
+    j = rng.randrange(1, 9)
+    return ("mu", j, j)
+
+
+def reference_stabilized_entry(rng, kind):
+    i, j = rng.randrange(1, 7), rng.randrange(1, 7)
+    r, s = rng.choice(((1, 1), (2, 2), (1, 2), (2, 1)))
+    if kind == 1:
+        return ("nu", i, r, i, s)
+    return ("nu", i, r, j, s)
+
+
+def reference_join_sampler(inner_samplers, rng):
+    if rng.randrange(8) == 0:
+        return ("tag",)
+    i = rng.randrange(2)
+    return ("pad", i, inner_samplers[i](rng))
 
 
 def reference_approximant(z, n):
@@ -221,6 +252,12 @@ class TestDistinctDrawsEqualReference:
         for reduction in (joined.left, joined.right):
             assert same_report(reduction, 40, 20, seed=1).passed
 
+    def test_both_meet_sides(self, spectral_source):
+        p0 = ig.make_problem(ig.interval(-1, 2), (ig.polynomial(0, 1), ig.polynomial(2)))
+        met = dg.lower_bound_meet(p0, spectral_source)
+        for reduction in (met.left, met.right):
+            assert same_report(reduction, 40, 20, seed=1).passed
+
     def test_fresh_equal_inputs_are_checked_one_by_one(self):
         problem = ig.make_problem(ig.interval(0, 1), (ig.polynomial(0, 1), ig.Sine(1.0, 1.0)))
         fresh = InputCatalog(
@@ -315,6 +352,86 @@ class TestGridIdsEqualReference:
     def test_degenerate_interval_keeps_its_one_id(self):
         iv = ig.interval(Fraction(-3, 7), Fraction(-3, 7))
         assert ig.make_problem(iv).queries.canonical_ids == (("ev", Fraction(-3, 7)),)
+
+
+def window_families(spectral_source):
+    """The source and stabilized window problems, each with its reference sampler."""
+    domain = spectral_source.params["domain"]
+    pairs = spectral_source.inputs.members
+    stabilizer = sp.StabilizerSpec.certify(sp.constant_diagonal(5), domain)
+    return (
+        (sp.source_problem(domain, pairs),
+         lambda rng: reference_window_sampler(reference_source_entry, rng)),
+        (sp.stabilized_problem(domain, stabilizer, pairs),
+         lambda rng: reference_window_sampler(reference_stabilized_entry, rng)),
+    )
+
+
+def integration_family(iv):
+    """An integration problem with its reference sampler (one canonical draw if degenerate)."""
+    problem = ig.make_problem(iv)
+    if iv.degenerate:
+        return problem, lambda rng: rng.choice(problem.queries.canonical_ids)
+    return problem, lambda rng: reference_sampler(iv, rng)
+
+
+class TestDrawKeys:
+    """Every family draws keys; ``sample_ids`` is their id view, with the rng calls of the id samplers."""
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.integers(0, 2**32))
+    def test_window_families_same_ids_and_rng_state(self, spectral_source, seed):
+        for problem, reference in window_families(spectral_source):
+            rng, ref = random.Random(seed), random.Random(seed)
+            assert problem.queries.sample_ids(rng, 40) == [reference(ref) for _ in range(40)]
+            assert rng.getstate() == ref.getstate()
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(0, 3), st.integers(0, 3), intervals(), ENDPOINT, st.integers(0, 2**32))
+    def test_padded_family_same_ids_and_rng_state(self, spectral_source, left, right, iv, point, seed):
+        families = (
+            integration_family(iv),
+            integration_family(ig.interval(point, point)),
+            *window_families(spectral_source),
+        )
+        (p0, draw0), (p1, draw1) = families[left], families[right]
+        join = dg.upper_bound_join(p0, p1).problem
+        rng, ref = random.Random(seed), random.Random(seed)
+        got = join.queries.sample_ids(rng, 40)
+        want = [reference_join_sampler((draw0, draw1), ref) for _ in range(40)]
+        assert list(map(repr, got)) == list(map(repr, want))  # Fraction coordinates stay Fractions
+        assert rng.getstate() == ref.getstate()
+
+    def test_integration_keys_are_grid_indices_shared_by_equal_points(self):
+        queries = ig.make_problem(ig.interval(-1, 2)).queries
+        keys = queries.sample_keys(random.Random(3), 400)
+        assert all(type(k) is int and 0 <= k <= 64 for k in keys)
+        ids = [queries.key_id(k) for k in keys]
+        assert ids == queries.sample_ids(random.Random(3), 400)
+        assert len(set(keys)) == len(set(ids))
+
+    def test_each_distinct_key_becomes_an_id_once_per_verification(self, monkeypatch):
+        target = ig.make_problem(ig.interval(0, 2))
+        reduction = ig.affine_reduction(target)
+        key_id, mapped = target.queries.key_id, []
+
+        def counted(key):
+            mapped.append(key)
+            return key_id(key)
+
+        def no_id_per_draw(*args):
+            raise AssertionError("an id was built per draw")
+
+        monkeypatch.setattr(target.queries, "key_id", counted)
+        monkeypatch.setattr(QueryFamily, "sample_ids", no_id_per_draw)
+        report = verify_reduction(reduction, 200, queries_per_sample=20, seed=3)
+        assert report.passed
+        rng, drawn = random.Random(3), set()
+        for _ in range(200):
+            reduction.source.inputs.sample(rng)
+            drawn.update(target.queries.sample_keys(rng, 20))
+        # 4000 draws, at most 65 points on the 1/64 grid, each id built once
+        assert sorted(mapped) == sorted(drawn) and len(drawn) <= 65
 
 
 # --- window approximant -------------------------------------------------------
