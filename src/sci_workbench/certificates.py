@@ -150,7 +150,10 @@ def classify_family(record: FamilyRecord, k: int) -> SharpnessVerdict:
     Pointwise: every member has height k.  Witness: every member is <= k and
     some member attains k.  Worst-case: the supremum of the heights is k,
     which over these well-ordered values coincides with the witness flag.
+    No height is negative, so a negative k raises ValueError.
     """
+    if k < 0:
+        raise ValueError(f"the level k must be >= 0, got {k}")
     heights = list(record.exact_heights().values())
     pointwise = all(h == k for h in heights)
     witness = all(h <= k for h in heights) and any(h == k for h in heights)

@@ -538,8 +538,8 @@ def _cmd_reduce_verify(args, seed):
     ]
 
 
-#: Most intervals ``reduce compose`` takes: each composition calls into the one
-#: before it, so a chain costs Python stack depth in proportion to its length.
+#: Most intervals ``reduce compose`` takes: the encoded input nests one affine
+#: image per link, and each query expands through every link of the chain.
 _MAX_CHAIN = 64
 
 

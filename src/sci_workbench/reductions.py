@@ -114,6 +114,8 @@ class Reduction:
     encoder: Callable[[Any], Any]
     decoder: Decoder
     plan: QueryPlan
+    # the primitives a composite chains, first to last (none for a primitive); its maps derive from them
+    links: tuple = ()
 
 
 def _blockwise(entries) -> tuple[tuple[QueryId, ...], Callable[[tuple], tuple]]:
@@ -157,11 +159,11 @@ def identity_reduction(problem: Problem) -> Reduction:
 def compose(first: Reduction, second: Reduction) -> Reduction:
     """Blockwise composition: ``first`` (R <= Q) then ``second`` (Q <= P) gives R <= P.
 
-    Each target query of P expands through ``second``'s plan into queries of
-    Q, and each of those through ``first``'s plan into queries of R; the
-    composed width is the blockwise sum of the inner widths, the combiner
-    substitutes inner combiners into the outer one, and a gap in either
-    plan stays a gap.
+    The composite chains the links of ``first`` then of ``second`` (a primitive
+    is its own one link) flat, so it is associative by structure and its maps
+    loop over the links: encoders run first to last, decoder maps last to
+    first, and a query of P expands one link at a time, last first.  The width
+    is the blockwise sum of the inner widths; a gap in any link stays a gap.
     """
     if first.target is not second.source:
         raise ProblemMismatch(
@@ -173,29 +175,33 @@ def compose(first: Reduction, second: Reduction) -> Reduction:
         == second.target.output_space.name
     )
     tag = decoder_compose_class(first.decoder.class_tag, second.decoder.class_tag, same_space=same_space)
+    links = (first.links or (first,)) + (second.links or (second,))
 
-    def encoder(a, _e1=first.encoder, _e2=second.encoder):
-        return _e2(_e1(a))
+    def encoder(a):
+        for link in links:
+            a = link.encoder(a)
+        return a
 
-    def decoder_map(y, _d1=first.decoder.map, _d2=second.decoder.map):
-        return _d1(_d2(y))
+    def decoder_map(y):
+        for link in reversed(links):
+            y = link.decoder.map(y)
+        return y
 
     def rule(query_id: QueryId):
-        outer = second.plan.entry(query_id)
-        if outer is None:
-            return None
-        blocks = []
-        for mid_id in outer.source_ids:
-            inner = first.plan.entry(mid_id)
-            if inner is None:
+        ids, splits = (query_id,), []
+        for link in reversed(links):
+            entries = [link.plan.entry(qid) for qid in ids]
+            if any(entry is None for entry in entries):
                 return None
-            blocks.append(inner)
-        source_ids, split = _blockwise(blocks)
+            ids, split = _blockwise(entries)
+            splits.append(split)
 
-        def combine(values: tuple, _split=split, _outer=outer.combine):
-            return _outer(_split(values))
+        def combine(values: tuple):
+            for split in reversed(splits):
+                values = split(values)
+            return values[0]
 
-        return PlanEntry(source_ids, combine)
+        return PlanEntry(ids, combine)
 
     return Reduction(
         name=f"{first.name}>>{second.name}",
@@ -204,6 +210,7 @@ def compose(first: Reduction, second: Reduction) -> Reduction:
         encoder=encoder,
         decoder=Decoder(decoder_map, tag, f"{first.decoder.name}.{second.decoder.name}"),
         plan=QueryPlan(f"{first.plan.name}>>{second.plan.name}", rule),
+        links=links,
     )
 
 

@@ -66,6 +66,10 @@ class TestClassifyFamily:
                     if verdict.pointwise_exact:
                         assert verdict.witness_sharp
 
+    def test_negative_level_rejected(self):
+        with pytest.raises(ValueError, match="k must be >= 0"):
+            ct.classify_family(record_of(1, 2), -1)
+
     def test_strict_interval_rejected(self):
         record = ct.FamilyRecord(
             {"p": ct.HeightCertificate("p", ct.HeightInterval(0, 2), ())}

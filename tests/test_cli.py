@@ -82,6 +82,11 @@ class TestDispatch:
         capsys.readouterr()
         assert main(["no-such-command"]) == 2
 
+    def test_family_classify_negative_level_exits_2(self, capsys):
+        assert main(["family", "classify", "--heights", "1,2", "--k", "-1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("bad argument value:")
+
     def test_reduce_verify_missing_param_exits_2(self, capsys):
         argv = ["reduce", "verify", "--spec", '{"rule":"integration_affine","params":{}}']
         assert main(argv) == 2

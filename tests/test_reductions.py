@@ -1,6 +1,8 @@
 import dataclasses
+import functools
 import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -35,6 +37,7 @@ from sci_workbench.reductions import (
     PlanEntry,
     QueryPlan,
     Reduction,
+    _blockwise,
     compose,
     decoder_compose_class,
     identity_reduction,
@@ -364,6 +367,154 @@ class TestPreorderLaws:
             a = source.inputs.sample(rng)
             answers = tuple(source.queries.resolve(sid).evaluate(a) for sid in lhs.source_ids)
             assert repr(lhs.combine(answers)) == repr(rhs.combine(answers))
+
+
+def nested_compose(first: Reduction, second: Reduction) -> Reduction:
+    """Composition that nests each call's maps inside the next, as a reference for :func:`compose`."""
+    if first.target is not second.source:
+        raise ProblemMismatch(
+            f"{first.name} ends at {first.target.name} but {second.name} starts at {second.source.name}"
+        )
+    same_space = (
+        first.source.output_space.name
+        == first.target.output_space.name
+        == second.target.output_space.name
+    )
+    tag = decoder_compose_class(first.decoder.class_tag, second.decoder.class_tag, same_space=same_space)
+
+    def encoder(a, _e1=first.encoder, _e2=second.encoder):
+        return _e2(_e1(a))
+
+    def decoder_map(y, _d1=first.decoder.map, _d2=second.decoder.map):
+        return _d1(_d2(y))
+
+    def rule(query_id):
+        outer = second.plan.entry(query_id)
+        if outer is None:
+            return None
+        blocks = []
+        for mid_id in outer.source_ids:
+            inner = first.plan.entry(mid_id)
+            if inner is None:
+                return None
+            blocks.append(inner)
+        source_ids, split = _blockwise(blocks)
+
+        def combine(values: tuple, _split=split, _outer=outer.combine):
+            return _outer(_split(values))
+
+        return PlanEntry(source_ids, combine)
+
+    return Reduction(
+        name=f"{first.name}>>{second.name}",
+        source=first.source,
+        target=second.target,
+        encoder=encoder,
+        decoder=Decoder(decoder_map, tag, f"{first.decoder.name}.{second.decoder.name}"),
+        plan=QueryPlan(f"{first.plan.name}>>{second.plan.name}", rule),
+    )
+
+
+@pytest.fixture(scope="module")
+def stabilization(spectral_source):
+    """The forward and backward stabilization reductions of the catalog's spectral source."""
+    domain = spectral_source.params["domain"]
+    stabilizer = sp.StabilizerSpec.certify(sp.constant_diagonal(5), domain)
+    return sp.stabilization_reductions(domain, stabilizer, spectral_source.inputs.members, source=spectral_source)
+
+
+def chained(links):
+    """``links`` composed left to right, one call per link."""
+    return functools.reduce(compose, links)
+
+
+class TestFlatChain:
+    """A composite is a flat chain of links, however long and however bracketed."""
+
+    def test_links_are_flat_and_associative(self, chain):
+        r1 = ig.affine_reduction(chain[1], chain[0])
+        r2 = ig.affine_reduction(chain[2], chain[1])
+        r3 = identity_reduction(chain[2])
+        assert r1.links == ()
+        assert compose(compose(r1, r2), r3).links == compose(r1, compose(r2, r3)).links == (r1, r2, r3)
+
+    def test_long_identity_chain_verifies(self, unit_problem):
+        n = 2 * sys.getrecursionlimit()
+        composed = chained([identity_reduction(unit_problem)] * n)
+        assert len(composed.links) == n
+        report = verify_reduction(composed, 3, queries_per_sample=3)
+        assert report.passed and report.max_discrepancy == 0.0
+
+    def test_long_stabilization_chain_verifies(self, stabilization):
+        forward, backward = stabilization
+        n = 2 * sys.getrecursionlimit()
+        composed = chained([forward, backward] * (n // 2))
+        assert len(composed.links) == n
+        assert composed.plan.entry(("mu", 2, 2)).width == 1
+        report = verify_reduction(composed, 3, queries_per_sample=3)
+        assert report.passed and report.max_discrepancy == 0.0
+
+    def test_long_affine_chain_verifies(self):
+        # the encoded input nests one affine image per link, so this chain stays below the stack limit
+        unit, wide = ig.make_problem(ig.interval(0, 1)), ig.make_problem(ig.interval(-1, 2))
+        there, back = ig.affine_reduction(wide, unit), ig.affine_reduction(unit, wide)
+        n = sys.getrecursionlimit() // 2
+        composed = chained([there, back] * (n // 2))
+        assert len(composed.links) == n
+        assert verify_reduction(composed, 3, queries_per_sample=3).passed
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_agrees_with_nested_compose(self, stabilization, data):
+        """Flat and nested composites of one bracketed chain agree on every observable."""
+        size = data.draw(st.integers(2, 5), label="links")
+        if data.draw(st.booleans(), label="spectral"):
+            forward, backward = stabilization
+            here, links = forward.source, []
+            for _ in range(size):
+                step = forward if here is forward.source else backward
+                link = data.draw(st.sampled_from([identity_reduction(here), step]))
+                links.append(link)
+                here = link.target
+        else:
+            here, links = data.draw(problems()), []
+            for _ in range(size):
+                if data.draw(st.booleans(), label="identity link"):
+                    links.append(identity_reduction(here))
+                    continue
+                there = data.draw(problems())
+                links.append(affine_step(here, there, data.draw(st.integers(1, 3), label="copies")))
+                here = there
+        # the same bracketing for both: each step composes a neighbouring pair
+        merges = [data.draw(st.integers(0, k - 2), label="merge") for k in range(size, 1, -1)]
+        seed = data.draw(st.integers(0, 2**16), label="seed")
+
+        def bracketed(compose_fn):
+            items = list(links)
+            for i in merges:
+                items[i:i + 2] = [compose_fn(items[i], items[i + 1])]
+            return items[0]
+
+        flat, nested = bracketed(compose), bracketed(nested_compose)
+        assert flat.links == tuple(links)
+        assert (flat.name, flat.decoder.class_tag, flat.decoder.name, flat.plan.name) == (
+            nested.name, nested.decoder.class_tag, nested.decoder.name, nested.plan.name
+        )
+        source, target = flat.source, flat.target
+        rng = random.Random(seed)
+        for qid in target.queries.sample_ids(rng, 6):
+            lhs, rhs = flat.plan.entry(qid), nested.plan.entry(qid)
+            assert lhs.source_ids == rhs.source_ids
+            answers = source.queries.answer(lhs.source_ids, source.inputs.sample(rng))
+            assert repr(lhs.combine(answers)) == repr(rhs.combine(answers))
+        a = source.inputs.sample(rng)
+        encoded = flat.encoder(a)
+        assert encoded == nested.encoder(a)
+        y = target.target(encoded)
+        assert repr(flat.decoder.map(y)) == repr(nested.decoder.map(y))
+        assert verify_reduction(flat, 4, queries_per_sample=4, seed=seed) == verify_reduction(
+            nested, 4, queries_per_sample=4, seed=seed
+        )
 
 
 class TestPullback:
