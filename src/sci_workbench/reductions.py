@@ -114,8 +114,9 @@ class Reduction:
     encoder: Callable[[Any], Any]
     decoder: Decoder
     plan: QueryPlan
-    # the primitives a composite chains, first to last (none for a primitive); its maps derive from them
-    links: tuple = ()
+    # the primitives a composite chains, first to last, from which its maps derive; set by compose
+    # only, so a primitive or a dataclasses.replace copy has none and composes as one opaque link
+    links: tuple = field(default=(), init=False, repr=False)
 
 
 def _blockwise(entries) -> tuple[tuple[QueryId, ...], Callable[[tuple], tuple]]:
@@ -159,11 +160,9 @@ def identity_reduction(problem: Problem) -> Reduction:
 def compose(first: Reduction, second: Reduction) -> Reduction:
     """Blockwise composition: ``first`` (R <= Q) then ``second`` (Q <= P) gives R <= P.
 
-    The composite chains the links of ``first`` then of ``second`` (a primitive
-    is its own one link) flat, so it is associative by structure and its maps
-    loop over the links: encoders run first to last, decoder maps last to
-    first, and a query of P expands one link at a time, last first.  The width
-    is the blockwise sum of the inner widths; a gap in any link stays a gap.
+    The composite chains the links of ``first`` then of ``second`` flat, so it is associative by
+    structure: encoders run first to last, decoder maps last to first, and a query of P expands
+    link by link, last first, into the blockwise sum of the widths; a gap in any link stays a gap.
     """
     if first.target is not second.source:
         raise ProblemMismatch(
@@ -203,15 +202,16 @@ def compose(first: Reduction, second: Reduction) -> Reduction:
 
         return PlanEntry(ids, combine)
 
-    return Reduction(
+    composite = Reduction(
         name=f"{first.name}>>{second.name}",
         source=first.source,
         target=second.target,
         encoder=encoder,
         decoder=Decoder(decoder_map, tag, f"{first.decoder.name}.{second.decoder.name}"),
         plan=QueryPlan(f"{first.plan.name}>>{second.plan.name}", rule),
-        links=links,
     )
+    object.__setattr__(composite, "links", links)
+    return composite
 
 
 @dataclass(frozen=True)

@@ -73,13 +73,11 @@ class TestEmptyBlock:
         assert after.plan.entry(dg.CONST_QUERY) is None
         before = compose(identity_reduction(empty_block.source), empty_block)
         assert before.plan.entry(dg.CONST_QUERY) is None
-
-    def test_compose_through_it_mid_chain_gives_no_entry(self, empty_block):
         first, last = identity_reduction(empty_block.source), identity_reduction(empty_block.target)
-        for chain in (compose(compose(first, empty_block), last), compose(first, compose(empty_block, last))):
-            assert chain.links == (first, empty_block, last)
-            assert chain.plan.rule(dg.CONST_QUERY) is None
-            assert chain.plan.entry(dg.CONST_QUERY) is None
+        for middle in (compose(compose(first, empty_block), last), compose(first, compose(empty_block, last))):
+            assert middle.links == (first, empty_block, last)
+            assert middle.plan.rule(dg.CONST_QUERY) is None
+            assert middle.plan.entry(dg.CONST_QUERY) is None
 
     def test_pullback_raises_plan_gap(self, empty_block):
         pulled = pullback_algorithm(empty_block, constant_algorithm("c", dg.CONST_QUERY, 0))

@@ -438,6 +438,26 @@ class TestFlatChain:
         assert r1.links == ()
         assert compose(compose(r1, r2), r3).links == compose(r1, compose(r2, r3)).links == (r1, r2, r3)
 
+    def test_replaced_composite_composes_as_one_link(self, chain):
+        """A ``dataclasses.replace`` copy of a composite has no links, and composes with what was replaced."""
+        inner = compose(ig.affine_reduction(chain[1], chain[0]), ig.affine_reduction(chain[2], chain[1]))
+        calls = []
+
+        def counted(a):
+            calls.append(a)
+            return inner.encoder(a)
+
+        replaced = dataclasses.replace(widened(inner, 2), encoder=counted)
+        last = identity_reduction(chain[2])
+        composed = compose(replaced, last)
+        assert replaced.links == () and composed.links == (replaced, last)
+        assert composed.plan.name == f"{inner.plan.name}x2>>identity"
+        for qid in chain[2].queries.sample_ids(random.Random(0), 4):
+            assert composed.plan.entry(qid).width == 2 * inner.plan.entry(qid).width
+        a = chain[0].inputs.sample(random.Random(1))
+        assert composed.encoder(a) == inner.encoder(a) and calls == [a]
+        assert verify_reduction(composed, 3, queries_per_sample=3).passed
+
     def test_long_identity_chain_verifies(self, unit_problem):
         n = 2 * sys.getrecursionlimit()
         composed = chained([identity_reduction(unit_problem)] * n)
