@@ -81,7 +81,9 @@ def _stabilization_params(params: dict) -> tuple[spectral.Domain, spectral.Stabi
 
 
 def _koopman_target(raw) -> tuple:
-    from . import koopman  # numpy, which only the Koopman entries need
+    # deferred: the CLI imports this module for every command, and one that loads no
+    # Koopman entry (integrate tower) never imports the Koopman layer
+    from . import koopman
 
     if raw == "ap":
         return koopman.AP
@@ -116,7 +118,7 @@ def problem_from_json(entry: dict) -> Problem:
         return spectral.stabilized_problem(*_stabilization_params(params))
 
     if kind == "koopman":
-        from . import koopman
+        from . import koopman  # deferred, as in _koopman_target
 
         space = koopman.FiniteSpace(tuple(parse_fraction(w) for w in params["weights"]))
         tables = tuple(koopman.MapTable(tuple(m)) for m in params["maps"])

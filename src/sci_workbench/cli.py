@@ -361,7 +361,7 @@ def _cmd_spectral_reduce(args, seed):
 
 
 def _cmd_koopman_finite(args, seed):
-    from . import koopman as kp  # numpy, which only this command needs
+    from . import koopman as kp  # deferred so that commands loading no catalog skip the Koopman layer
 
     image = tuple(int(v) for v in args.map.split(","))
     table = kp.MapTable(image)

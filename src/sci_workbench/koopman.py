@@ -7,6 +7,10 @@ queries.  ``sigma_ap`` is computed structurally from the functional graph
 (cycle lengths give roots of unity, off-cycle nodes give 0); the numeric
 SVD/eigenvalue routines serve as the independent oracle in tests.
 
+numpy is imported by the functions that compute with it, on their first
+call, so building a space, a map table, a grid or a problem and its
+height-0 tower does not load it.
+
 Only the weighted 2-norm is implemented; the weights enter sigma_inf via
 the diagonal similarity and leave eigenvalues untouched.
 """
@@ -18,9 +22,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .core import (
     DEFAULT_BUDGET,
@@ -33,6 +35,9 @@ from .core import (
     fixed_query_algorithm,
 )
 from .errors import BadGrid, EmptySet, GridTooCoarse, WeightOutOfRange
+
+if TYPE_CHECKING:
+    import numpy as np
 
 #: Complex entries per temporary block (64 KiB) in the grid SVD and Hausdorff kernels;
 #: a block never holds less than one matrix or one row of distances.
@@ -101,6 +106,8 @@ class KoopmanMatrix:
 
     def as_array(self) -> np.ndarray:
         """The rows of the complex identity picked by the image: the entries as complex numbers."""
+        import numpy as np
+
         return np.eye(self.size, dtype=complex)[np.array(self.image()) - 1]
 
 
@@ -151,6 +158,8 @@ def _sigma_inf_many(
     those rows and columns, whose entries are the full matrix's.  A caller
     making many calls passes ``formed = _formed(matrix, weights)``.
     """
+    import numpy as np
+
     base, w = formed or _formed(matrix, weights)
     if index is not None:
         base = base[np.ix_(index, index)]
@@ -171,6 +180,8 @@ def _root_weights(weights: Sequence[Fraction] | None):
 
     A weight whose double is 0 or infinite raises :class:`WeightOutOfRange`.
     """
+    import numpy as np
+
     if weights is None:
         return None
     doubles = []
@@ -213,6 +224,8 @@ def hausdorff(a: CompactSetApprox, b: CompactSetApprox) -> float:
     pa, pb = _points(a), _points(b)
     if pa == pb:
         return 0.0
+    import numpy as np
+
     forward = 0.0
     backward = np.full(len(pb), np.inf)
     for dist in _distance_blocks(pa, pb):
@@ -226,6 +239,8 @@ def _distance_blocks(pa: Sequence[complex], pb: Sequence[complex]):
 
     A block holds at most ``_CHUNK_ENTRIES`` distances, and at least one row.
     """
+    import numpy as np
+
     pa = np.array(pa, dtype=complex)
     pb = np.array(pb, dtype=complex)
     rows = max(1, _CHUNK_ENTRIES // len(pb))
@@ -236,6 +251,8 @@ def _distance_blocks(pa: Sequence[complex], pb: Sequence[complex]):
 
 def _distance_to(zs: Sequence[complex], points: Sequence[complex]) -> np.ndarray:
     """Per z, its computed distance to the nearest of the points."""
+    import numpy as np
+
     return np.concatenate([dist.min(axis=1) for dist in _distance_blocks(zs, points)])
 
 
@@ -370,6 +387,8 @@ class GridSpec:
         One rounded multiply and one rounded add per coordinate, as Python
         float arithmetic does it; grid point (i, j) is ``complex(re[i], im[j])``.
         """
+        import numpy as np
+
         n_re, n_im = self._steps()
         return (
             self.re_lo + np.arange(n_re + 1) * self.spacing,
@@ -403,6 +422,8 @@ def _axis_anchors(count: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     index i, ``lo[i]`` and ``hi[i]`` are the positions in that list of the
     anchors at or below and at or above i (equal at the last anchor).
     """
+    import numpy as np
+
     anchors = np.arange(0, count, _ANCHOR_STRIDE)
     if anchors[-1] != count - 1:
         anchors = np.append(anchors, count - 1)
@@ -414,6 +435,8 @@ def _mirror_columns(im: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The columns whose imaginary value is negative and whose exact negation
     is also a column, and their partner columns; ``im`` is increasing, so a
     binary search finds each partner."""
+    import numpy as np
+
     at = np.minimum(np.searchsorted(im, -im), len(im) - 1)
     mirrored = np.flatnonzero((im < 0) & (im[at] == -im))
     return mirrored, at[mirrored]
@@ -424,6 +447,8 @@ def _svd_error_bound(
 ) -> float:
     """delta = c*n*u*(||B~||_F + sqrt(n)*z_max), c = 64: a bound on the error of
     the computed sigma_inf at every |z| <= z_max (see :func:`sigma_ap_eps`)."""
+    import numpy as np
+
     n = matrix.size
     w = (formed or _formed(matrix, weights))[1]
     image = matrix.image()
@@ -547,6 +572,8 @@ def sigma_ap_eps(
     and the rounding of the test, since delta >= 64u(1 + max|z|) and eps
     is at most max|z| (the grid covers the spectrum with an eps margin).
     """
+    import numpy as np
+
     if not (math.isfinite(eps) and eps > 0):
         raise ValueError(f"eps must be a positive finite number, got {eps}")
     n = matrix.size
@@ -722,6 +749,8 @@ def height0_algorithm(space: FiniteSpace, target: TargetSpec = AP) -> Tower:
 
 def eigenvalue_oracle(matrix: KoopmanMatrix) -> CompactSetApprox:
     """Independent numeric spectrum via dense eigenvalues (the brute-force route)."""
+    import numpy as np
+
     values = np.linalg.eigvals(matrix.as_array())
     points = sorted((complex(v) for v in values), key=lambda p: (p.real, p.imag))
     return CompactSetApprox(tuple(points))

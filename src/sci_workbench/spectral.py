@@ -171,7 +171,13 @@ class HarmonicSequence(DiagonalSpec):
 
 @lru_cache(maxsize=64)
 def _rational_block(lo: Fraction, hi: Fraction, count: int) -> tuple[Fraction, ...]:
-    """First ``count`` terms of the denominator-ordered enumeration of Q ∩ [lo, hi]."""
+    """First ``count`` terms of the denominator-ordered enumeration of Q ∩ [lo, hi].
+
+    Every denominator q >= 1/(hi - lo) adds at least one term, so the scan
+    visits fewer than ``count + ceil(1/(hi - lo))`` denominators; a bound
+    over ``DEFAULT_BUDGET`` raises :class:`BudgetExceeded` before the scan.
+    """
+    check_budget(f"rational-enumeration[{lo},{hi}]", count + math.ceil(1 / (hi - lo)), "denominators")
     out: list[Fraction] = []
     q = 1
     while len(out) < count:

@@ -7,6 +7,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -400,17 +401,57 @@ def test_closed_stdout_exits_cleanly(json_flag):
     assert done.stderr == b""
 
 
-def test_integrate_tower_process_never_imports_numpy():
-    # only koopman needs numpy; a fresh process running another command must not load it
+NUMPY_FREE_COMMANDS = {
+    "integrate-tower": ["integrate", "tower", "--interval", "0", "1", "--function", "poly:0,1", "--n", "16"],
+    # these three load the default catalog, Koopman entries included
+    "spectral-reduce": ["spectral", "reduce", "--stabilizer", "const:5", "--samples", "4"],
+    "degrees-join": ["degrees", "join", "--samples", "4"],
+    "certify-package": ["certify", "package", "--family", "spectral", "--samples", "4"],
+}
+
+
+def _run_fresh(script: str) -> subprocess.CompletedProcess:
+    """Run ``script`` in a fresh interpreter that imports the package from this checkout."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]))
-    script = ("import sys; from sci_workbench.cli import main; "
-              "code = main(['--json', 'integrate', 'tower', '--interval', '0', '1', '--function', 'poly:0,1', "
-              "'--n', '16']); sys.stderr.write(repr(sorted(m for m in sys.modules if m.split('.')[0] == 'numpy'))); "
-              "sys.exit(code)")
-    done = subprocess.run([sys.executable, "-c", script], capture_output=True, env=env, timeout=120)
+    return subprocess.run([sys.executable, "-c", script], capture_output=True, env=env, timeout=120)
+
+
+NUMPY_LOADED = "repr(sorted(m for m in sys.modules if m.split('.')[0] == 'numpy'))"
+
+
+@pytest.mark.parametrize("argv", NUMPY_FREE_COMMANDS.values(), ids=NUMPY_FREE_COMMANDS.keys())
+def test_command_process_never_imports_numpy(argv):
+    # only the Koopman computations need numpy; a fresh process running another command must not load it
+    done = _run_fresh(f"import sys; from sci_workbench.cli import main; code = main({['--json', *argv]!r}); "
+                                f"sys.stderr.write({NUMPY_LOADED}); sys.exit(code)")
     assert done.returncode == 0
-    assert json.loads(done.stdout)["command"] == "integrate tower"
+    assert json.loads(done.stdout)["command"] == " ".join(argv[:2])
     assert done.stderr == b"[]"
+
+
+def test_koopman_construction_never_imports_numpy_until_the_first_computation(capsys):
+    script = f"""
+import sys
+from sci_workbench import catalog, certificates, cli, core, degrees, errors, integration, koopman, reductions, spectral
+
+load = catalog.load_catalog(catalog.default_catalog_path())
+assert any(entry.kind == "koopman" for entry in load.entries)
+space = koopman.FiniteSpace((1, 2, 3))
+target = koopman.ap_eps(0.25, koopman.GridSpec(-1.5, 1.5, -1.5, 1.5, 0.0625))
+problem = koopman.make_problem(space, (koopman.MapTable((2, 3, 1)),), target)
+tower = koopman.height0_algorithm(space, target)
+sys.stderr.write({NUMPY_LOADED} + "\\n")
+code = cli.main(["--json", "koopman", "finite", "--map", "2,3,1"])
+sys.stderr.write(repr("numpy" in sys.modules))
+sys.exit(code)
+"""
+    done = _run_fresh(script)
+    assert done.returncode == 0
+    before, after = done.stderr.decode().split("\n", 1)
+    assert before == "[]"
+    assert after == "True"
+    assert main(["--json", "koopman", "finite", "--map", "2,3,1"]) == 0
+    assert done.stdout.decode() == capsys.readouterr().out
 
 
 def test_over_budget_grid_message_is_short_and_names_the_budget(capsys):
@@ -535,14 +576,31 @@ def test_oversized_request_exits_2_before_any_work(argv, monkeypatch, capsys):
     assert captured.out == ""
 
 
+# enum diagonals 1/999999937 wide: their first term has a denominator near 5 x 10^8
+NARROW_ENUM = {
+    "decide": ["spectral", "decide", "--diagonal", "enum:1/999999937,2/999999937", "--z", "3/1999999874"],
+    "reduce": ["spectral", "reduce", "--stabilizer", "enum:1999999875/999999937,1999999876/999999937",
+               "--samples", "4"],
+}
+
+
+@pytest.mark.parametrize("argv", NARROW_ENUM.values(), ids=NARROW_ENUM.keys())
+def test_narrow_enumeration_exits_2_before_the_scan(argv, capsys):
+    assert main(["--json", *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: BudgetExceeded: rational-enumeration[")
+    assert "999999938 denominators" in captured.err and "Traceback" not in captured.err
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize("target", [["--target", "ap"], ["--target", "apeps", "--epsilon", "0.5",
                                                 "--grid", "-1.5", "1.5", "-1.5", "1.5", "0.5"]])
 def test_oversized_koopman_map_exits_2_before_any_matrix_work(target, monkeypatch, capsys):
     def no_work(*args, **kwargs):
         raise AssertionError("matrix work started")
 
-    monkeypatch.setattr(kp.np.linalg, "svd", no_work)
-    monkeypatch.setattr(kp.np.linalg, "eigvals", no_work)
+    monkeypatch.setattr(np.linalg, "svd", no_work)
+    monkeypatch.setattr(np.linalg, "eigvals", no_work)
     cycle = ",".join(str(i % 1001 + 1) for i in range(1, 1002))
     assert main(["--json", "koopman", "finite", "--map", cycle, *target]) == 2
     captured = capsys.readouterr()
@@ -556,7 +614,7 @@ def test_costly_apeps_request_exits_2_before_any_svd(n, grid, monkeypatch, capsy
     def no_work(*args, **kwargs):
         raise AssertionError("SVD work started")
 
-    monkeypatch.setattr(kp.np.linalg, "svd", no_work)
+    monkeypatch.setattr(np.linalg, "svd", no_work)
     cycle = ",".join(str(i % n + 1) for i in range(1, n + 1))
     argv = ["--json", "koopman", "finite", "--map", cycle, "--target", "apeps", "--epsilon", "0.5", *grid]
     assert main(argv) == 2
@@ -658,7 +716,7 @@ def test_apeps_weights_out_of_double_range_exit_2_before_any_svd(weights, messag
     def no_work(*args, **kwargs):
         raise AssertionError("SVD work started")
 
-    monkeypatch.setattr(kp.np.linalg, "svd", no_work)
+    monkeypatch.setattr(np.linalg, "svd", no_work)
     argv = ["--json", "koopman", "finite", "--map", "2,1", "--weights", weights, "--target", "apeps",
             "--epsilon", "0.5", "--grid", "-1.5", "1.5", "-1.5", "1.5", "0.1"]
     with warnings.catch_warnings(record=True) as caught:

@@ -694,7 +694,7 @@ class TestEqualSetShortCircuit:
         def no_pass(*args):
             raise AssertionError("pairwise pass ran")
 
-        monkeypatch.setattr(kp.np, "hypot", no_pass)
+        monkeypatch.setattr(np, "hypot", no_pass)
         assert kp.hausdorff(approx, copy) == 0.0
         assert kp.hausdorff(approx.points, list(copy.points)) == 0.0
         with pytest.raises(AssertionError, match="pairwise pass ran"):

@@ -23,6 +23,13 @@ class NoPower(int):
         raise AssertionError("power built")
 
 
+class NoScan(Fraction):
+    """An interval end whose multiples, which the enumeration scan forms, fail instead of being built."""
+
+    def __mul__(self, other):
+        raise AssertionError("scan started")
+
+
 class TestWindowApproximant:
     def test_one_third(self):
         approx = sp.window_approximant(sp.Window(Fraction(1, 3), J), 1)
@@ -105,6 +112,19 @@ class TestExactOracle:
         entries = [spec.entry(j) for j in range(1, 8)]
         assert entries[:2] == [Fraction(0), Fraction(1)]
         assert Fraction(1, 2) in entries
+
+    def test_narrow_enumeration_is_refused_before_the_scan(self):
+        lo = NoScan(1, 10**9)
+        spec = sp.RationalEnumeration(lo, lo + Fraction(1, 10**9))
+        before = sp._rational_block.cache_info().currsize
+        with pytest.raises(BudgetExceeded, match=r"would need 1000000002 denominators"):
+            spec.entry(2)
+        assert sp._rational_block.cache_info().currsize == before
+
+    def test_narrow_enumeration_within_the_budget_is_scanned(self):
+        spec = sp.RationalEnumeration(Fraction(1, 1000), Fraction(2, 1000))
+        # denominators 1..499 miss the interval, and each of the next ones adds 1/q
+        assert [spec.entry(j) for j in range(1, 5)] == [Fraction(1, q) for q in range(500, 504)]
 
     def test_unsupported_kind(self):
         with pytest.raises(UnsupportedKind):
