@@ -174,10 +174,12 @@ def _rational_block(lo: Fraction, hi: Fraction, count: int) -> tuple[Fraction, .
     """First ``count`` terms of the denominator-ordered enumeration of Q ∩ [lo, hi].
 
     Every denominator q >= 1/(hi - lo) adds at least one term, so the scan
-    visits fewer than ``count + ceil(1/(hi - lo))`` denominators; a bound
-    over ``DEFAULT_BUDGET`` raises :class:`BudgetExceeded` before the scan.
+    visits fewer than ``count + ceil(1/(hi - lo))`` denominators.  ``count``
+    is at most twice an entry index, which the callers' query budget bounds;
+    the width term is bounded by nothing else, so a width term over
+    ``DEFAULT_BUDGET`` raises :class:`BudgetExceeded` before the scan.
     """
-    check_budget(f"rational-enumeration[{lo},{hi}]", count + math.ceil(1 / (hi - lo)), "denominators")
+    check_budget(f"rational-enumeration[{lo},{hi}]", math.ceil(1 / (hi - lo)), "denominators")
     out: list[Fraction] = []
     q = 1
     while len(out) < count:

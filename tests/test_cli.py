@@ -589,7 +589,7 @@ def test_narrow_enumeration_exits_2_before_the_scan(argv, capsys):
     assert main(["--json", *argv]) == 2
     captured = capsys.readouterr()
     assert captured.err.startswith("error: BudgetExceeded: rational-enumeration[")
-    assert "999999938 denominators" in captured.err and "Traceback" not in captured.err
+    assert "999999937 denominators" in captured.err and "Traceback" not in captured.err
     assert captured.out == ""
 
 

@@ -117,9 +117,15 @@ class TestExactOracle:
         lo = NoScan(1, 10**9)
         spec = sp.RationalEnumeration(lo, lo + Fraction(1, 10**9))
         before = sp._rational_block.cache_info().currsize
-        with pytest.raises(BudgetExceeded, match=r"would need 1000000002 denominators"):
+        with pytest.raises(BudgetExceeded, match=r"would need 1000000000 denominators"):
             spec.entry(2)
         assert sp._rational_block.cache_info().currsize == before
+
+    def test_wide_enumeration_is_not_refused_for_a_large_block(self):
+        # entry 2^19 + 1 asks for a block of 2^20 terms, over DEFAULT_BUDGET; the scan starts all the same
+        spec = sp.RationalEnumeration(NoScan(0), NoScan(1))
+        with pytest.raises(AssertionError, match="scan started"):
+            spec.entry(2**19 + 1)
 
     def test_narrow_enumeration_within_the_budget_is_scanned(self):
         spec = sp.RationalEnumeration(Fraction(1, 1000), Fraction(2, 1000))
