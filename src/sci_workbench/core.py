@@ -208,20 +208,18 @@ class Problem:
 
 @dataclass(frozen=True)
 class QueryTrace:
-    """Ordered (query id, value) pairs of one completed run."""
+    """The ordered query ids of one completed run, and their answers in the same order."""
 
-    steps: tuple[tuple[QueryId, Any], ...]
+    ids: tuple[QueryId, ...]
+    values: tuple
 
     def __len__(self) -> int:
-        return len(self.steps)
+        return len(self.ids)
 
     @property
-    def ids(self) -> tuple[QueryId, ...]:
-        return tuple(qid for qid, _ in self.steps)
-
-    @property
-    def values(self) -> tuple:
-        return tuple(value for _, value in self.steps)
+    def steps(self) -> tuple[tuple[QueryId, Any], ...]:
+        """The (query id, value) pairs, built on each call."""
+        return tuple(zip(self.ids, self.values))
 
 
 @dataclass(frozen=True)
@@ -279,13 +277,16 @@ def run_algorithm(alg: GeneralAlgorithm, problem: Problem, input) -> tuple[Any, 
     resolved; otherwise one :meth:`QueryFamily.answer` call answers it and
     the answers are sent back as one tuple.  The result is the
     output with the exact ordered trace, and repeated runs are bit-identical.
+
+    A one-round run's trace holds that round's id and answer tuples
+    themselves; later rounds are gathered in lists, converted once at the end.
     """
     if not problem.inputs.admits(input):
         raise ValueError(f"input {input!r} is not admissible for {problem.name}")
     answer = problem.queries.answer
     run = alg.protocol()
-    ids: list[QueryId] = []
-    values: list = []
+    ids: Sequence[QueryId] = ()
+    values: Sequence = ()
     answers = None
     while True:
         try:
@@ -295,14 +296,19 @@ def run_algorithm(alg: GeneralAlgorithm, problem: Problem, input) -> tuple[Any, 
                 raise ProtocolViolation(
                     f"{alg.name} finished without querying; completed runs need a nonempty query set"
                 ) from None
-            return done.value, QueryTrace(tuple(zip(ids, values)))
+            return done.value, QueryTrace(tuple(ids), tuple(values))
         if not isinstance(step, Ask) or not step.query_ids:
             raise ProtocolViolation(f"{alg.name} emitted {step!r}, expected a nonempty Ask")
         if len(ids) + len(step.query_ids) > alg.budget:
             raise BudgetExceeded(f"{alg.name} exceeded its budget of {alg.budget} queries")
         answers = answer(step.query_ids, input)
-        ids += step.query_ids
-        values += answers
+        if not ids:
+            ids, values = step.query_ids, answers
+        elif type(ids) is tuple:
+            ids, values = [*ids, *step.query_ids], [*values, *answers]
+        else:
+            ids += step.query_ids
+            values += answers
 
 
 @dataclass(frozen=True)
@@ -323,7 +329,8 @@ def check_locality(alg: GeneralAlgorithm, problem: Problem, input_a, input_b) ->
     input), so a failure indicates a protocol that leaks input identity.
     """
     out_a, trace_a = run_algorithm(alg, problem, input_a)
-    for (qid, want), got in zip(trace_a.steps, problem.queries.answer(trace_a.ids, input_b)):
+    answers_b = problem.queries.answer(trace_a.ids, input_b)
+    for qid, want, got in zip(trace_a.ids, trace_a.values, answers_b):
         if got != want:
             return LocalityReport(True, False, f"inputs disagree on {qid!r}; implication is vacuous")
     out_b, trace_b = run_algorithm(alg, problem, input_b)

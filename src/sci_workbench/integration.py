@@ -10,9 +10,9 @@ exact reference integrals, which is what reduction verification needs.
 from __future__ import annotations
 
 import math
-from collections import OrderedDict, namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from numbers import Rational
 from typing import Any, Callable, Sequence
 
@@ -427,54 +427,6 @@ def _exact_sum(values):
     return Fraction(num, den)
 
 
-#: The stage cache keeps at most this many grid id tuples ...
-GRID_CACHE_ENTRIES = 128
-#: ... and at most this many ids in all (about 11 MB), whatever the stage sizes.
-GRID_CACHE_IDS = 2**16
-
-_CacheInfo = namedtuple("CacheInfo", "hits misses maxsize currsize")
-
-
-class _SizeBoundedCache:
-    """Least-recently-used memo of tuples, bounded by their count and by their total length.
-
-    ``cache_info()`` and ``cache_clear()`` follow :func:`functools.lru_cache`,
-    with ``maxsize`` the bound on the count.  A result longer than the bound
-    on the total length is returned without being kept.
-    """
-
-    def __init__(self, build: Callable[..., tuple], max_entries: int, max_items: int):
-        self._build = build
-        self.max_entries = max_entries
-        self.max_items = max_items
-        self._entries: OrderedDict = OrderedDict()
-        self.items = 0  # total length of the kept tuples
-        self.hits = self.misses = 0
-
-    def __call__(self, *key) -> tuple:
-        entries = self._entries
-        value = entries.get(key)
-        if value is not None:
-            self.hits += 1
-            entries.move_to_end(key)
-            return value
-        self.misses += 1
-        value = self._build(*key)
-        if len(value) <= self.max_items:  # a longer one would only flush the cache
-            entries[key] = value
-            self.items += len(value)
-            while self.items > self.max_items or len(entries) > self.max_entries:
-                self.items -= len(entries.popitem(last=False)[1])
-        return value
-
-    def cache_info(self) -> _CacheInfo:
-        return _CacheInfo(self.hits, self.misses, self.max_entries, len(self._entries))
-
-    def cache_clear(self) -> None:
-        self._entries.clear()
-        self.items = self.hits = self.misses = 0
-
-
 def _build_grid_ids(a: Fraction, b: Fraction, n: int) -> tuple:
     num, den = a.numerator, a.denominator
     step_num, step_den = (b - a).numerator, (b - a).denominator * n
@@ -484,7 +436,10 @@ def _build_grid_ids(a: Fraction, b: Fraction, n: int) -> tuple:
     )
 
 
-_grid_ids = _SizeBoundedCache(_build_grid_ids, GRID_CACHE_ENTRIES, GRID_CACHE_IDS)
+#: Grid ids are built on each call and none is kept: every live id lengthens
+#: each full pass of the cyclic garbage collector.  The size-0 ``lru_cache``
+#: only counts the builds, in ``cache_info().misses``.
+_grid_ids = lru_cache(maxsize=0)(_build_grid_ids)
 
 
 def grid_nodes(iv: Interval, n: int) -> tuple[Fraction, ...]:

@@ -170,15 +170,19 @@ class HarmonicSequence(DiagonalSpec):
 
 
 @lru_cache(maxsize=64)
-def _rational_block(lo: Fraction, hi: Fraction, count: int) -> tuple[Fraction, ...]:
-    """First ``count`` terms of the denominator-ordered enumeration of Q ∩ [lo, hi].
+def _rational_block(spec: RationalEnumeration, count: int) -> tuple[Fraction, ...]:
+    """First ``count`` terms of the denominator-ordered enumeration of Q ∩ [spec.lo, spec.hi].
 
     Every denominator q >= 1/(hi - lo) adds at least one term, so the scan
     visits fewer than ``count + ceil(1/(hi - lo))`` denominators.  ``count``
     is at most twice an entry index, which the callers' query budget bounds;
     the width term is bounded by nothing else, so a width term over
     ``DEFAULT_BUDGET`` raises :class:`BudgetExceeded` before the scan.
+
+    The memo is keyed on the spec, whose hash is computed once, and not on
+    its two ends, whose Fraction hashes each lookup would compute again.
     """
+    lo, hi = spec.lo, spec.hi
     check_budget(f"rational-enumeration[{lo},{hi}]", math.ceil(1 / (hi - lo)), "denominators")
     out: list[Fraction] = []
     q = 1
@@ -201,12 +205,17 @@ class RationalEnumeration(DiagonalSpec):
     def __post_init__(self):
         if not self.lo < self.hi:
             raise ValueError("enumeration kind needs lo < hi")
+        # the dataclass hash, computed once: ``entry`` hashes the spec on every lookup
+        object.__setattr__(self, "_hash", hash((self.lo, self.hi)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def entry(self, j: int) -> Fraction:
         if j < 1:
             raise ValueError("entries are 1-indexed")
         block = 1 << (j - 1).bit_length() if j > 1 else 1
-        return _rational_block(self.lo, self.hi, block)[j - 1]
+        return _rational_block(self, block)[j - 1]
 
     def spectrum_distance(self, z: Fraction) -> Fraction:
         return _interval_distance(z, self.lo, self.hi)

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+import sci_workbench
 from sci_workbench import integration as ig
 from sci_workbench import koopman as kp
 from sci_workbench import spectral as sp
@@ -10,6 +11,7 @@ from sci_workbench.core import (
     Ask,
     GeneralAlgorithm,
     QueryFamily,
+    QueryTrace,
     check_consistency,
     check_locality,
     constant_algorithm,
@@ -26,11 +28,57 @@ from sci_workbench.errors import (
     ProtocolViolation,
     UnknownQuery,
 )
+from sci_workbench.reductions import pullback_algorithm
 
 
 @pytest.fixture
 def unit_problem():
     return ig.make_problem(ig.interval(0, 1))
+
+
+class TestQueryTraceShape:
+    """A trace holds the run's ids and values; ``steps`` pairs them on demand."""
+
+    @staticmethod
+    def twice(run):
+        (value, trace), again = run(), run()
+        assert trace.steps == tuple(zip(trace.ids, trace.values))
+        assert len(trace) == len(trace.ids) == len(trace.values)
+        assert again == (value, trace)
+        return trace
+
+    def test_package_exports_query_trace(self):
+        assert sci_workbench.QueryTrace is QueryTrace
+
+    def test_one_round_run_keeps_its_round_tuples(self, unit_problem):
+        stage = ig.rectangle_tower(ig.interval(0, 1)).stage((64,))
+        trace = self.twice(lambda: run_algorithm(stage, unit_problem, ig.polynomial(0, 1)))
+        assert len(trace) == 64
+        assert trace.ids is stage.protocol().send(None).query_ids  # the Ask's own tuple
+        assert trace.values == tuple(Fraction(j, 64) for j in range(64))
+
+    def test_adaptive_run_of_many_one_id_rounds(self, unit_problem):
+        rounds = 5000
+
+        def walk():
+            x = Fraction(0)
+            for _ in range(rounds):
+                (y,) = yield Ask(("ev", x))
+                x = y + Fraction(1, rounds)  # the next point comes from the answer
+            return x
+
+        alg = GeneralAlgorithm("walk", walk)
+        trace = self.twice(lambda: run_algorithm(alg, unit_problem, ig.polynomial(0, 1)))
+        assert len(trace) == rounds
+        assert trace.ids == tuple(("ev", Fraction(j, rounds)) for j in range(rounds))
+        assert trace.values == tuple(Fraction(j, rounds) for j in range(rounds))
+
+    def test_pulled_back_stage(self, unit_problem):
+        target = ig.make_problem(ig.interval(0, 2))
+        pulled = pullback_algorithm(ig.affine_reduction(target), ig.rectangle_tower(ig.interval(0, 2)).stage((16,)))
+        trace = self.twice(lambda: run_algorithm(pulled, unit_problem, ig.polynomial(0, 1)))
+        assert len(trace) == 16
+        assert trace.ids == tuple(("ev", Fraction(j, 16)) for j in range(16))
 
 
 class TestRunAlgorithm:

@@ -1,3 +1,4 @@
+import gc
 import math
 from fractions import Fraction
 
@@ -70,44 +71,20 @@ class TestRectangleTower:
         ig.grid_nodes(ig.interval(0, 1), DEFAULT_BUDGET)
         assert built == [DEFAULT_BUDGET, DEFAULT_BUDGET]
 
-    def test_grid_cache_is_bounded_by_total_ids(self):
-        cache = ig._grid_ids
-        cache.cache_clear()
-        try:
-            tower = ig.rectangle_tower(ig.interval(0, 1))
-            for n in range(4000, 4040):  # 40 distinct stages, about 161k ids in all
-                tower.stage((n,))
-                assert cache.items <= ig.GRID_CACHE_IDS
-            kept = cache.cache_info().currsize
-            assert 0 < kept < 40
-            big = tower.stage((10**5,))
-            assert len(big.protocol().send(None).query_ids) == 10**5
-            info = cache.cache_info()
-            assert cache.items <= ig.GRID_CACHE_IDS and info.maxsize == ig.GRID_CACHE_ENTRIES
-            assert (info.hits, info.misses) == (0, 41)
-            again = tower.stage((4039,))  # the most recent stage that fits is kept
-            assert cache.cache_info().hits == 1 and len(again.protocol().send(None).query_ids) == 4039
-        finally:
-            cache.cache_clear()
-        assert cache.items == 0 and cache.cache_info() == (0, 0, ig.GRID_CACHE_ENTRIES, 0)
+    def test_a_run_leaves_no_object_behind(self):
+        def run(a, b):
+            iv = ig.interval(a, b)
+            stage = ig.rectangle_tower(iv).stage((4096,))
+            value, trace = run_algorithm(stage, ig.make_problem(iv), ig.polynomial(1))
+            assert value == iv.length and len(trace) == 4096
 
-    def test_grid_cache_evicts_least_recent_by_total_length_and_count(self):
-        calls = []
-        cache = ig._SizeBoundedCache(lambda n: calls.append(n) or tuple(range(n)), 100, 10)
-        assert cache(11) == tuple(range(11))  # longer than the bound: never kept
-        assert cache.items == 0 and cache.cache_info().currsize == 0
-        cache(4), cache(5), cache(4)  # 9 items; 4 is now the most recent
-        cache(3)  # 12 items: evicts 5, the least recently used
-        assert cache.items == 7 and cache.cache_info().currsize == 2
-        cache(4)
-        cache(5)
-        assert calls == [11, 4, 5, 3, 5]
-
-        counted = ig._SizeBoundedCache(lambda n: calls.append(n) or tuple(range(n)), 2, 100)
-        counted(1), counted(2), counted(1), counted(3)  # a third entry evicts 2
-        assert counted.cache_info().currsize == 2 and counted.items == 4
-        counted(2)
-        assert calls[5:] == [1, 2, 3, 2]
+        run(0, 1)  # first use of every code path the measured run takes
+        gc.collect()
+        before = len(gc.get_objects())
+        run(Fraction(1, 9973), Fraction(7919, 9973))  # an interval no other test uses
+        gc.collect()
+        assert abs(len(gc.get_objects()) - before) <= 100
+        assert ig._grid_ids.cache_info().currsize == 0
 
     def test_error_bound_brute_force(self):
         # the derived bound, checked against exact integrals on a dense stage sweep

@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 
@@ -112,6 +113,20 @@ class TestExactOracle:
         entries = [spec.entry(j) for j in range(1, 8)]
         assert entries[:2] == [Fraction(0), Fraction(1)]
         assert Fraction(1, 2) in entries
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        st.fractions(min_value=-3, max_value=3, max_denominator=12),
+        st.fractions(min_value=Fraction(1, 12), max_value=4, max_denominator=12),
+    )
+    def test_enumeration_entries_equal_a_direct_scan(self, lo, width):
+        hi = lo + width
+        terms = (Fraction(p, q) for q in itertools.count(1) for p in range(math.ceil(lo * q), math.floor(hi * q) + 1))
+        direct = list(itertools.islice(terms, 4096))
+        spec = sp.RationalEnumeration(lo, hi)
+        sp._rational_block.cache_clear()
+        assert [spec.entry(j) for j in range(1, 4097)] == direct
+        assert sp._rational_block.cache_info().misses <= 13  # one per power-of-two block
 
     def test_narrow_enumeration_is_refused_before_the_scan(self):
         lo = NoScan(1, 10**9)
