@@ -74,8 +74,8 @@ class TestQueryTraceShape:
         assert trace.values == tuple(Fraction(j, rounds) for j in range(rounds))
 
     def test_pulled_back_stage(self, unit_problem):
-        target = ig.make_problem(ig.interval(0, 2))
-        pulled = pullback_algorithm(ig.affine_reduction(target), ig.rectangle_tower(ig.interval(0, 2)).stage((16,)))
+        iv = ig.interval(0, 2)
+        pulled = pullback_algorithm(ig.affine_reduction(ig.make_problem(iv)), ig.rectangle_tower(iv).stage((16,)))
         trace = self.twice(lambda: run_algorithm(pulled, unit_problem, ig.polynomial(0, 1)))
         assert len(trace) == 16
         assert trace.ids == tuple(("ev", Fraction(j, 16)) for j in range(16))

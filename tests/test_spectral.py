@@ -121,11 +121,15 @@ class TestExactOracle:
     )
     def test_enumeration_entries_equal_a_direct_scan(self, lo, width):
         hi = lo + width
-        terms = (Fraction(p, q) for q in itertools.count(1) for p in range(math.ceil(lo * q), math.floor(hi * q) + 1))
-        direct = list(itertools.islice(terms, 4096))
+
+        def direct():
+            for q in itertools.count(1):
+                for p in range(math.ceil(lo * q), math.floor(hi * q) + 1):
+                    yield Fraction(p, q)
+
         spec = sp.RationalEnumeration(lo, hi)
         sp._rational_block.cache_clear()
-        assert [spec.entry(j) for j in range(1, 4097)] == direct
+        assert [spec.entry(j) for j in range(1, 4097)] == list(itertools.islice(direct(), 4096))
         assert sp._rational_block.cache_info().misses <= 13  # one per power-of-two block
 
     def test_narrow_enumeration_is_refused_before_the_scan(self):
