@@ -68,6 +68,26 @@ def _same(key):
     return key
 
 
+def _randbelow(rng, n: int) -> int:
+    """An index below ``n`` drawn as ``rng.randrange(n)`` and ``rng.choice`` draw it.
+
+    ``random.Random`` draws ``getrandbits(n.bit_length())`` until the result
+    is below ``n``; ``n.bit_length()``, not ``(n - 1).bit_length()``, so a
+    power of two may need a second call.  This is that loop, one call frame
+    and one C call per try, so every draw and the rng state after it equal
+    ``randrange``'s.  The standard library does not promise to keep that
+    loop, so ``tests/test_draws.py`` checks the equality on every supported
+    Python.
+    """
+    if n < 1:
+        raise ValueError(f"cannot draw an index below {n}")
+    k = n.bit_length()
+    r = rng.getrandbits(k)
+    while r >= n:
+        r = rng.getrandbits(k)
+    return r
+
+
 class QueryFamily:
     """A (possibly infinite) family of evaluation maps addressed by structured ids.
 
@@ -131,9 +151,11 @@ class QueryFamily:
             return []
         if self._sampler is not None:
             return [self._sampler(rng) for _ in range(count)]
-        if not self.canonical_ids:
+        ids = self.canonical_ids
+        if not ids:
             return []
-        return [rng.choice(self.canonical_ids) for _ in range(count)]
+        n = len(ids)
+        return [ids[_randbelow(rng, n)] for _ in range(count)]
 
     def sample_ids(self, rng, count: int) -> list[QueryId]:
         """The ids of the keys :meth:`sample_keys` draws, with the same rng calls."""
@@ -182,7 +204,8 @@ class InputCatalog:
     def sample(self, rng):
         if self._sampler is not None:
             return self._sampler(rng)
-        return rng.choice(self.members)
+        members = self.members
+        return members[_randbelow(rng, len(members))]
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import InputCatalog, OutputSpace, Problem, QueryFamily
+from .core import InputCatalog, OutputSpace, Problem, QueryFamily, _randbelow
 from .errors import EmptyInputClass, EmptyQueryFamily, TagIncompatible
 from .reductions import (
     Decoder,
@@ -85,9 +85,9 @@ def upper_bound_join(p0: Problem, p1: Problem) -> JoinResult:
     # a draw is keyed by the tag query itself or by (i, the component's draw key);
     # the checks above leave every component family something to draw
     def sampler(rng):
-        if rng.randrange(8) == 0:
+        if _randbelow(rng, 8) == 0:
             return TAG_QUERY
-        i = rng.randrange(2)
+        i = _randbelow(rng, 2)
         return i, components[i].queries.sample_keys(rng, 1)[0]
 
     def key_id(key):

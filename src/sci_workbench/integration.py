@@ -23,6 +23,7 @@ from .core import (
     Problem,
     QueryFamily,
     Tower,
+    _randbelow,
     check_budget,
     fixed_query_algorithm,
 )
@@ -87,6 +88,19 @@ class FunctionDescription:
         return self.value(x)
 
 
+#: The endpoint types whose integrals run on integer numerators and denominators.
+_EXACT = (int, Fraction)
+
+
+def _scaled_horner(ints: tuple[int, ...], p: int, q: int) -> tuple[int, int]:
+    """q^deg * P(p/q) and q^deg, for P given by its integer coefficients, highest degree first."""
+    num, qk = ints[0], 1
+    for c in ints[1:]:
+        qk *= q
+        num = num * p + c * qk
+    return num, qk
+
+
 def _require_rational(field: str, value) -> None:
     """The exact kernels read numerator and denominator; refuse anything else by name."""
     if not isinstance(value, Rational):
@@ -107,6 +121,12 @@ class Polynomial(FunctionDescription):
         den = math.lcm(*(c.denominator for c in self.coeffs))
         ints = tuple(c.numerator * (den // c.denominator) for c in reversed(self.coeffs)) or (0,)
         object.__setattr__(self, "_horner", (den, ints[0], ints[1:]))
+        # the antiderivative sum(coeffs[i] * x**(i + 1) / (i + 1)) in the same form,
+        # its constant term 0 included, for the integer reference integral
+        terms = [(c, i + 1) for i, c in enumerate(self.coeffs)]
+        den = math.lcm(*(c.denominator * j for c, j in terms))
+        ints = tuple(c.numerator * (den // (c.denominator * j)) for c, j in reversed(terms)) + (0,)
+        object.__setattr__(self, "_antiderivative", (den, ints))
 
     def kernel(self, p: int, q: int) -> tuple[int, int]:
         """q^deg * P(p/q) by integer Horner, over den * q^deg."""
@@ -128,6 +148,12 @@ class Polynomial(FunctionDescription):
         return acc
 
     def integral(self, a, b):
+        """F(b) - F(a) for the antiderivative F, as one Fraction when both ends are rational."""
+        if type(a) in _EXACT and type(b) in _EXACT:
+            den, ints = self._antiderivative
+            fa, qa = _scaled_horner(ints, a.numerator, a.denominator)
+            fb, qb = _scaled_horner(ints, b.numerator, b.denominator)
+            return Fraction(fb * qa - fa * qb, den * qa * qb)
         total = Fraction(0)
         for i, c in enumerate(self.coeffs):
             total += c * (b ** (i + 1) - a ** (i + 1)) / (i + 1)
@@ -209,7 +235,27 @@ class Bump(FunctionDescription):
         slope = Fraction(2, 1) / (self.v - self.u)
         return max(1 - slope * abs(x - self.apex), Fraction(0))
 
+    def _area(self, p: int, q: int) -> int:
+        """4*d*w*q^2 times the area under the tent left of p/q (see ``__post_init__``)."""
+        d2, s, w = self._tent
+        t, wq = d2 * p - s * q, w * q  # 2*d*(x - apex) and w, both times q
+        if t <= -wq:
+            return 0
+        if t <= 0:
+            return (t + wq) ** 2
+        if t < wq:
+            return 2 * wq * wq - (wq - t) ** 2
+        return 2 * wq * wq
+
     def integral(self, a, b):
+        """The area between a and b, 0 when a >= b; one Fraction when both ends are rational."""
+        if type(a) in _EXACT and type(b) in _EXACT:
+            pa, qa, pb, qb = a.numerator, a.denominator, b.numerator, b.denominator
+            if pa * qb >= pb * qa:
+                return Fraction(0)
+            d2, _, w = self._tent
+            return Fraction(self._area(pb, qb) * qa * qa - self._area(pa, qa) * qb * qb,
+                            2 * d2 * w * qa * qa * qb * qb)
         total = Fraction(0)
         for lo, hi in ((self.u, self.apex), (self.apex, self.v)):
             p, q = max(a, lo), min(b, hi)
@@ -249,6 +295,7 @@ class AffineImage(FunctionDescription):
         sn, sd = self.scale.numerator, self.scale.denominator
         m, k, d = an * bd, bn * ad, ad * bd
         object.__setattr__(self, "_inner", (m, k, d))
+        object.__setattr__(self, "_ratio", self.scale / self.alpha)
         base_kernel = self.base.kernel
         if base_kernel is not None:
             def kernel(p: int, q: int) -> tuple[int, int]:
@@ -267,9 +314,13 @@ class AffineImage(FunctionDescription):
         return self.scale * self.base.value(self.alpha * x + self.beta)
 
     def integral(self, a, b):
-        return (self.scale / self.alpha) * self.base.integral(
-            self.alpha * a + self.beta, self.alpha * b + self.beta
-        )
+        if type(a) in _EXACT and type(b) in _EXACT:
+            m, k, d = self._inner
+            pa, qa, pb, qb = a.numerator, a.denominator, b.numerator, b.denominator
+            return self._ratio * self.base.integral(
+                Fraction(m * pa + k * qa, d * qa), Fraction(m * pb + k * qb, d * qb)
+            )
+        return self._ratio * self.base.integral(self.alpha * a + self.beta, self.alpha * b + self.beta)
 
     def lipschitz(self, a, b):
         inner = self.base.lipschitz(self.alpha * a + self.beta, self.alpha * b + self.beta)
@@ -351,11 +402,11 @@ def make_problem(iv: Interval, functions: Sequence[FunctionDescription] | None =
     else:
         canonical = tuple(grid_point(j, 8) for j in range(9))
 
-    # a draw j/den is keyed by its index j * (64 // den) on the 1/64 grid,
-    # so equal points share one integer key
+    # a draw j/den, den one of 8, 16, 32 and 64, is keyed by its index
+    # j * (64 // den) on the 1/64 grid, so equal points share one integer key
     def sampler(rng):
-        den = rng.choice((8, 16, 32, 64))
-        return rng.randrange(den + 1) * (64 // den)
+        points, step = ((9, 8), (17, 4), (33, 2), (65, 1))[_randbelow(rng, 4)]  # den + 1, 64 // den
+        return _randbelow(rng, points) * step
 
     def key_id(k: int):
         return grid_point(k, 64)
@@ -522,11 +573,14 @@ def affine_reduction(target: Problem, source: Problem | None = None) -> Reductio
     rn, rd = ratio.numerator, ratio.denominator
     sn, sd = shift.numerator, shift.denominator
     m, k, d = rn * sd, sn * rd, rd * sd  # ratio*x + shift = (m*p + k*q) / (d*q) for x = p/q
+    ratio_float = float(ratio)  # what float * Fraction converts the Fraction to, on every call
 
     def combine(vals):
         z = vals[0]
         if type(z) is Fraction:
             return Fraction(rn * z.numerator, rd * z.denominator)
+        if type(z) is float:
+            return z * ratio_float
         return z * ratio
 
     def rule(qid):

@@ -17,7 +17,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from numbers import Number
-from typing import Any, Callable
+from typing import Any, Callable, NamedTuple
 
 from .core import (
     DEFAULT_BUDGET,
@@ -73,9 +73,12 @@ class Decoder:
     name: str = "decoder"
 
 
-@dataclass(frozen=True)
-class PlanEntry:
-    """Simulation of one target query: source query ids and the combiner."""
+class PlanEntry(NamedTuple):
+    """Simulation of one target query: source query ids and the combiner.
+
+    A named tuple, built without the per-field ``object.__setattr__`` of a
+    frozen dataclass: verification and pullbacks build one entry per target id.
+    """
 
     source_ids: tuple[QueryId, ...]
     combine: Callable[[tuple], Any]
@@ -123,10 +126,10 @@ def _blockwise(entries) -> tuple[tuple[QueryId, ...], Callable[[tuple], tuple]]:
     """Concatenated source ids of ``entries``, and the split of their answers into one value per entry."""
     source_ids: list[QueryId] = []
     spans = []
-    for entry in entries:
+    for ids, combine in entries:
         lo = len(source_ids)
-        source_ids += entry.source_ids
-        spans.append((entry.combine, lo, len(source_ids)))
+        source_ids += ids
+        spans.append((combine, lo, len(source_ids)))
 
     def split(values: tuple) -> tuple:
         return tuple([combine(values[lo:hi]) for combine, lo, hi in spans])
@@ -281,21 +284,22 @@ def verify_reduction(
     inputs drew it; that memo holds at most as many entries as the table
     holds counts.
 
-    A plan gap is a query failure.  Equal query answers are settled by
-    that comparison.  Unequal numeric answers add their gap to
-    ``max_discrepancy``; exact numbers must agree exactly, numbers involving
-    floating point within ``tol``.  Other unequal answers (tuples, say)
-    fail.  Targets compare through the output distance in the same way as
-    numbers.  A NaN gap, of a query or of a target, is a failure and leaves
-    ``max_discrepancy`` finite.  An encoded input the target does not admit
-    counts as a target failure per draw and draws no keys.  Failures are
-    report content, never exceptions.  Every sample draws at least one
-    query, so a plan that covers no id cannot pass: a ``sample_count`` or
-    ``queries_per_sample`` below 1 raises ValueError.  A source with an
-    empty input catalog raises :class:`EmptyInputClass`, and more than
-    ``DEFAULT_BUDGET`` sampled queries raise :class:`BudgetExceeded`, both
-    before any sampling.  The report records ``reduction``, which the
-    certificates check it against.
+    A plan gap is a query failure.  Equal query answers, and equal
+    targets of exact data, are settled by that comparison.  Unequal
+    numeric answers add their gap to ``max_discrepancy``; exact numbers
+    must agree exactly, numbers involving floating point within ``tol``.
+    Other unequal answers (tuples, say) fail.  Other targets compare
+    through the output distance in the same way as numbers.  A NaN gap, of
+    a query or of a target (two equal infinite ones, say), is a failure and
+    leaves ``max_discrepancy`` finite.  An encoded input the target does
+    not admit counts as a target failure per draw and draws no keys.
+    Failures are report content, never exceptions.  Every sample draws at
+    least one query, so a plan that covers no id cannot pass: a
+    ``sample_count`` or ``queries_per_sample`` below 1 raises ValueError.
+    A source with an empty input catalog raises :class:`EmptyInputClass`,
+    and more than ``DEFAULT_BUDGET`` sampled queries raise
+    :class:`BudgetExceeded`, both before any sampling.  The report
+    records ``reduction``, which the certificates check it against.
     """
     if sample_count < 1:
         raise ValueError("sample_count must be >= 1")
@@ -335,10 +339,11 @@ def verify_reduction(
             continue
         want = source.target(a)
         got = reduction.decoder.map(target.target(encoded))
-        gap = distance(want, got)
-        max_discrepancy = max(max_discrepancy, float(gap))
-        if _mismatch(want, got, gap, tol):
-            target_failures += draws
+        if not (want == got and _is_exact(want)):
+            gap = distance(want, got)
+            max_discrepancy = max(max_discrepancy, float(gap))
+            if _mismatch(want, got, gap, tol):
+                target_failures += draws
 
         covered, entries, counts = [], [], []
         for key, count in tally.items():
@@ -356,7 +361,11 @@ def verify_reduction(
         source_ids, split = _blockwise(entries)
         wanted = target.queries.answer(covered, encoded)
         for want_q, got_q, count in zip(wanted, split(source.queries.answer(source_ids, a)), counts):
-            if want_q == got_q:
+            if type(want_q) is Fraction is type(got_q):
+                # normalised Fractions are equal exactly when their terms are
+                if want_q.numerator == got_q.numerator and want_q.denominator == got_q.denominator:
+                    continue
+            elif want_q == got_q:
                 continue
             if isinstance(want_q, Number) and isinstance(got_q, Number):
                 gap_q = abs(want_q - got_q)

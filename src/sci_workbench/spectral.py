@@ -26,6 +26,7 @@ from .core import (
     Problem,
     QueryFamily,
     Tower,
+    _randbelow,
     check_budget,
     fixed_query_algorithm,
 )
@@ -42,6 +43,11 @@ def domain(lo, hi) -> Domain:
     return (lo, hi)
 
 
+def _span(j_domain: Domain) -> str:
+    """A domain as names and messages print it, ``[lo,hi]``."""
+    return f"[{j_domain[0]},{j_domain[1]}]"
+
+
 def _interval_distance(z: Fraction, lo: Fraction, hi: Fraction) -> Fraction:
     return max(Fraction(0), lo - z, z - hi)
 
@@ -50,7 +56,8 @@ class DiagonalSpec:
     """Description of a real diagonal operator with an exact spectral oracle.
 
     ``entry(j)`` is the 1-indexed diagonal entry; ``spectrum_distance(z)``
-    decides dist(z, closure of the entries) exactly in rational arithmetic.
+    decides dist(z, closure of the entries) exactly in rational arithmetic,
+    and ``in_spectrum(z)`` whether that distance is 0.
     """
 
     def entry(self, j: int) -> Fraction:
@@ -58,6 +65,10 @@ class DiagonalSpec:
 
     def spectrum_distance(self, z: Fraction) -> Fraction:
         raise NotImplementedError
+
+    def in_spectrum(self, z: Fraction) -> bool:
+        """Whether z lies in the closure of the entries, decided exactly."""
+        return self.spectrum_distance(z) == 0
 
     def distance_to_interval(self, lo: Fraction, hi: Fraction) -> Fraction:
         """A certified rational lower bound for dist(spectrum, [lo, hi])."""
@@ -88,6 +99,9 @@ class FiniteThenConstant(DiagonalSpec):
 
     def spectrum_distance(self, z: Fraction) -> Fraction:
         return min(abs(z - p) for p in self._points())
+
+    def in_spectrum(self, z: Fraction) -> bool:
+        return z == self.tail or z in self.values
 
     def distance_to_interval(self, lo, hi) -> Fraction:
         return min(_interval_distance(p, lo, hi) for p in self._points())
@@ -149,6 +163,13 @@ class HarmonicSequence(DiagonalSpec):
         for j in candidates:
             best = min(best, abs(z - self.entry(j)))
         return best
+
+    def in_spectrum(self, z: Fraction) -> bool:
+        # z = p/q is d_j exactly when j*(p*d - q*m) = q*k, and base = m/d when p*d = q*m
+        m, k, d = self._entry
+        p, q = z.numerator, z.denominator
+        a, b = p * d - q * m, q * k
+        return a == 0 or (b % a == 0 and b // a >= 1)
 
     def distance_to_interval(self, lo, hi) -> Fraction:
         # The closure lies in the hull of {base, base + coef}; the hull-to-
@@ -220,6 +241,9 @@ class RationalEnumeration(DiagonalSpec):
     def spectrum_distance(self, z: Fraction) -> Fraction:
         return _interval_distance(z, self.lo, self.hi)
 
+    def in_spectrum(self, z: Fraction) -> bool:
+        return self.lo <= z <= self.hi
+
     def distance_to_interval(self, lo, hi) -> Fraction:
         return max(Fraction(0), lo - self.hi, self.lo - hi)
 
@@ -272,7 +296,7 @@ def exact_decision_oracle(spec: DiagonalSpec, window: Window) -> int:
     """Reference decision: 1 iff the spectrum misses the window point, decided exactly."""
     if not isinstance(spec, DiagonalSpec):
         raise UnsupportedKind(f"no exact membership oracle for {type(spec).__name__}")
-    return 1 if spec.spectrum_distance(window.z) > 0 else 0
+    return 0 if spec.in_spectrum(window.z) else 1
 
 
 _BIT_SPACE = OutputSpace("bit", lambda p, q: 0 if p == q else 1, carrier=(0, 1))
@@ -296,13 +320,13 @@ def _window_problem(
 ) -> Problem:
     """Scaffold of the source and stabilized problems: (operator, window) inputs
     over ``j_domain``, matrix-entry queries plus window data rho_n, bit outputs.
-    A sampled query is rho_n for draw 0 of ``rng.randrange(4)``, else
-    ``sample_entry(rng, draw)``; separators are ``diagonal_id(1..64)``, then rho_1..40.
+    A sampled query is rho_n, n drawn from 1..12, for draw 0 of an index below 4,
+    else ``sample_entry(rng, draw)``; separators are ``diagonal_id(1..64)``, then rho_1..40.
     """
     for _, window in members:
         if window.domain != j_domain:
             raise WindowOutsideDomain(
-                f"window domain {window.domain} differs from problem domain {j_domain}"
+                f"window domain {_span(window.domain)} differs from problem domain {_span(j_domain)}"
             )
 
     def resolver(qid):
@@ -323,9 +347,9 @@ def _window_problem(
         )
 
     def sampler(rng):
-        kind = rng.randrange(4)
+        kind = _randbelow(rng, 4)
         if kind == 0:
-            return ("rho", rng.randrange(1, 13))
+            return ("rho", 1 + _randbelow(rng, 12))
         return sample_entry(rng, kind)
 
     def separators(a, b):
@@ -365,13 +389,13 @@ def source_problem(j_domain: Domain, pairs: Sequence[Pair], name: str | None = N
 
     def sample_entry(rng, kind):
         if kind == 1:
-            return ("mu", rng.randrange(1, 9), rng.randrange(1, 9))
-        j = rng.randrange(1, 9)
+            return ("mu", 1 + _randbelow(rng, 8), 1 + _randbelow(rng, 8))
+        j = 1 + _randbelow(rng, 8)
         return ("mu", j, j)
 
     return _window_problem(
-        name or f"spectral-window[{j_domain[0]},{j_domain[1]}]",
-        f"spectral-queries[{j_domain}]",
+        name or f"spectral-window{_span(j_domain)}",
+        f"spectral-queries{_span(j_domain)}",
         j_domain,
         tuple(pairs),
         is_operator=lambda op: isinstance(op, DiagonalSpec),
@@ -401,7 +425,7 @@ def decision_tower(j_domain: Domain) -> Tower:
         n2, n1 = idx
         if n2 < 1 or n1 < 1:
             raise ValueError("stage indices must be >= 1")
-        name = f"decide[{j_domain}]@({n2},{n1})"
+        name = f"decide{_span(j_domain)}@({n2},{n1})"
         check_budget(name, n2, "dyadic bits")
         check_budget(name, n1 + 1)
         ids = (("rho", n2),) + tuple(("mu", j, j) for j in range(1, n1 + 1))
@@ -412,7 +436,7 @@ def decision_tower(j_domain: Domain) -> Tower:
 
         return fixed_query_algorithm(name, ids, finish)
 
-    return Tower(f"decision[{j_domain[0]},{j_domain[1]}]", 2, stages)
+    return Tower(f"decision{_span(j_domain)}", 2, stages)
 
 
 def _all_farther(values, r, cut) -> bool:
@@ -464,7 +488,7 @@ class StabilizerSpec:
     def __post_init__(self):
         if self.margin <= 0:
             raise UncertifiedStabilizer(
-                f"{self.spec.label()} has no certified spectral gap to {self.domain}"
+                f"{self.spec.label()} has no certified spectral gap to {_span(self.domain)}"
             )
 
     @classmethod
@@ -472,7 +496,7 @@ class StabilizerSpec:
         margin = spec.distance_to_interval(*j_domain)
         if margin <= 0:
             raise UncertifiedStabilizer(
-                f"cannot certify spectrum of {spec.label()} away from {j_domain}"
+                f"cannot certify spectrum of {spec.label()} away from {_span(j_domain)}"
             )
         return cls(spec, j_domain, margin)
 
@@ -523,20 +547,18 @@ def stabilized_problem(
 
     def target(pair) -> int:
         block, window = pair
-        away_a = block.first.spectrum_distance(window.z) > 0
-        away_b = block.second.spec.spectrum_distance(window.z) > 0
-        return 1 if away_a and away_b else 0
+        return 0 if block.first.in_spectrum(window.z) or block.second.spec.in_spectrum(window.z) else 1
 
     def sample_entry(rng, kind):
-        i, j = rng.randrange(1, 7), rng.randrange(1, 7)
-        r, s = rng.choice(((1, 1), (2, 2), (1, 2), (2, 1)))
+        i, j = 1 + _randbelow(rng, 6), 1 + _randbelow(rng, 6)
+        r, s = ((1, 1), (2, 2), (1, 2), (2, 1))[_randbelow(rng, 4)]
         if kind == 1:
             return ("nu", i, r, i, s)
         return ("nu", i, r, j, s)
 
     return _window_problem(
         name or f"stabilized[{j_domain[0]},{j_domain[1]}|{stabilizer.spec.label()}]",
-        f"stabilized-queries[{j_domain}]",
+        f"stabilized-queries{_span(j_domain)}",
         j_domain,
         tuple((BlockOperator(spec, stabilizer), window) for spec, window in pairs),
         is_operator=lambda op: isinstance(op, BlockOperator) and op.second == stabilizer,

@@ -94,6 +94,18 @@ class TestDispatch:
         err = capsys.readouterr().err
         assert err.startswith("catalog error:") and "Traceback" not in err
 
+    @pytest.mark.parametrize("argv, message", [
+        (["spectral", "stabilize", "--diagonal", "const:1", "--z", "1/2", "--stabilizer", "const:1/2"],
+         "error: UncertifiedStabilizer: cannot certify spectrum of const:1/2 away from [0,1]\n"),
+        (["spectral", "decide", "--diagonal", "enum:0,1", "--z", "1/3", "--n2", "100000000"],
+         "error: BudgetExceeded: decide[0,1]@(100000000,7) would need 100000000 dyadic bits,"
+         " over the budget of 1000000 dyadic bits\n"),
+    ], ids=["uncertified-stabilizer", "decide-budget"])
+    def test_spectral_errors_print_the_domain_as_an_interval(self, argv, message, capsys):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == message
+
     def test_json_reports_are_byte_identical(self, capsys):
         argv = ["--json", "certify", "package", "--family", "integration", "--samples", "20"]
         assert main(argv) == 0

@@ -1,4 +1,4 @@
-"""The integer kernels of the exact tower path against the expressions they replace.
+"""The integer kernels of the exact tower and verification paths against the expressions they replace.
 
 Each reference below is the plain Fraction expression the kernel stands
 for.  Every kernel must return a value equal to its reference and of the
@@ -95,6 +95,24 @@ def ref_mu_member(qid):
     return len(qid) == 3 and qid[0] == "mu" and all(isinstance(k, int) and k >= 1 for k in qid[1:])
 
 
+def ref_integral(f, a, b):
+    if isinstance(f, ig.Polynomial):
+        total = Fraction(0)
+        for i, c in enumerate(f.coeffs):
+            total += c * (b ** (i + 1) - a ** (i + 1)) / (i + 1)
+        return total
+    if isinstance(f, ig.Bump):
+        total = Fraction(0)
+        for lo, hi in ((f.u, f.apex), (f.apex, f.v)):
+            p, q = max(a, lo), min(b, hi)
+            if p < q:
+                total += (ref_bump(f, p) + ref_bump(f, q)) * (q - p) / 2
+        return total
+    if isinstance(f, ig.AffineImage):
+        return (f.scale / f.alpha) * ref_integral(f.base, f.alpha * a + f.beta, f.alpha * b + f.beta)
+    return f.integral(a, b)  # Sine: unchanged
+
+
 # --- strategies ------------------------------------------------------------
 
 DENOMINATORS = st.one_of(st.integers(1, 12), st.integers(1, 10**6))
@@ -144,10 +162,10 @@ def test_affine_image_value_matches_reference(f, x):
 
 
 @st.composite
-def nested_images(draw):
-    """An AffineImage of depth 1 to 3 over a polynomial, a bump or a sine."""
-    f = draw(st.one_of(POLYS, BUMPS, SINES))
-    for _ in range(draw(st.integers(1, 3))):
+def nested_images(draw, leaves=st.one_of(POLYS, BUMPS, SINES), depth=3):
+    """An AffineImage of depth 1 to ``depth`` over a drawn leaf (a polynomial, a bump or a sine)."""
+    f = draw(leaves)
+    for _ in range(draw(st.integers(1, depth))):
         f = ig.AffineImage(f, draw(SMALL), draw(POSITIVE), draw(SMALL))
     return f
 
@@ -178,6 +196,60 @@ def test_affine_image_covers_every_base_kind():
 @given(SMALL, SMALL.filter(bool), st.one_of(st.integers(1, 10**6), st.just(True)))
 def test_harmonic_entry_matches_reference(base, coef, j):
     same(sp.HarmonicSequence(base, coef).entry(j), base + coef / j)
+
+
+# --- reference integrals ---------------------------------------------------
+
+ENDS = st.one_of(SMALL, st.integers(-60, 60))
+# ordered, equal and reversed ends, rational or not
+ENDPOINTS = st.one_of(
+    st.tuples(ENDS, ENDS),
+    ENDS.map(lambda a: (a, a)),
+    st.tuples(FLOATS, FLOATS),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(SMALL, max_size=8).map(lambda cs: ig.Polynomial(tuple(cs))), ENDPOINTS)
+def test_polynomial_integral_matches_reference(f, ends):
+    same(f.integral(*ends), ref_integral(f, *ends))
+
+
+@pytest.mark.parametrize("f", [ig.polynomial("1/2", "-1/3", 0, "1/4", "5/7"),
+                               ig.Bump(Fraction(-1, 2), Fraction(4, 3))])
+def test_integral_builds_one_fraction(f):
+    a, b = Fraction(-2, 3), Fraction(9, 5)
+    with fractions_built() as built:
+        got = f.integral(a, b)
+    assert len(built) == 1
+    same(got, ref_integral(f, a, b))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data(), BUMPS)
+def test_bump_integral_matches_reference(data, f):
+    # ends inside, on and outside the support and its apex, in either order
+    a, b = data.draw(points_near(f.u, f.v)), data.draw(points_near(f.apex, f.v))
+    same(f.integral(a, b), ref_integral(f, a, b))
+    same(f.integral(b, a), ref_integral(f, b, a))
+
+
+def test_integer_polynomial_integral_is_exact():
+    # int coefficients and int ends give Fractions, never an int / int float
+    same(ig.Polynomial((1, 2, 3)).integral(0, 1), Fraction(3))
+    same(ig.Polynomial((0, 5)).integral(0, 1), Fraction(5, 2))
+
+
+@settings(max_examples=200, deadline=None)
+@given(nested_images(st.one_of(POLYS, BUMPS), 4), ENDPOINTS)
+def test_nested_affine_image_integral_matches_reference(f, ends):
+    same(f.integral(*ends), ref_integral(f, *ends))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(SINES, nested_images(SINES, 4)), ENDPOINTS)
+def test_sine_integrals_stay_bit_identical(f, ends):
+    same(f.integral(*ends), ref_integral(f, *ends))
 
 
 # --- stage finishes -------------------------------------------------------

@@ -250,6 +250,26 @@ class TestVerify:
         assert report.target_failures == 5 and report.query_failures == 0
         assert math.isfinite(report.max_discrepancy)
 
+    def test_equal_infinite_targets_fail(self):
+        # this sine integrates to inf on [0, 2]: the targets are equal, but their gap inf - inf is NaN
+        overflow = ig.Sine(1e308, 1e-300)
+        problem = ig.make_problem(ig.interval(0, 2), (overflow, ig.polynomial(1)))
+        assert problem.target(overflow) == math.inf
+        report = verify_reduction(identity_reduction(problem), 12, queries_per_sample=4, seed=3)
+        rng = random.Random(3)
+        draws = 0
+        for _ in range(12):
+            draws += problem.inputs.sample(rng) is overflow
+            problem.queries.sample_keys(rng, 4)
+        assert 0 < draws < 12
+        assert report.target_failures == draws and report.query_failures == 0
+        assert report.max_discrepancy == 0.0
+
+    def test_plan_entries_are_named_tuples(self):
+        entry = PlanEntry((("ev", 0), ("ev", 1)), sum)
+        assert entry == (entry.source_ids, entry.combine) and entry.width == 2
+        assert repr(entry) == f"PlanEntry(source_ids=(('ev', 0), ('ev', 1)), combine={sum!r})"
+
     @pytest.mark.parametrize("tol", [-1e-9, math.nan])
     def test_tolerance_must_be_non_negative(self, chain, tol):
         with pytest.raises(ValueError, match="tol must be a non-negative number"):

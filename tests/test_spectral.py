@@ -12,6 +12,7 @@ from sci_workbench.errors import BudgetExceeded, UncertifiedStabilizer, Unsuppor
 from sci_workbench.reductions import compose, verify_reduction
 
 J = sp.domain(0, 1)
+SMALL_FRACTIONS = st.fractions(min_value=-3, max_value=3, max_denominator=12)
 
 
 class NoPower(int):
@@ -107,6 +108,22 @@ class TestExactOracle:
             abs(z - base),
         )
         assert spec.spectrum_distance(z) == brute
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data(), st.sampled_from(["list", "harmonic", "enum"]), SMALL_FRACTIONS, SMALL_FRACTIONS)
+    def test_in_spectrum_is_distance_zero(self, data, kind, x, y):
+        if kind == "list":
+            spec = sp.FiniteThenConstant((x, y, x + 1), y - 1)
+        elif kind == "harmonic":
+            spec = sp.HarmonicSequence(x, y or Fraction(1, 3))
+        else:
+            spec = sp.RationalEnumeration(min(x, y), max(x, y) + Fraction(1, 7))
+        # entries, the limit points and ends, nearby points and integers
+        near = [spec.entry(j) for j in (1, 2, 3, 7, 40)] + [x, y, x + y, min(x, y) - 1]
+        z = data.draw(st.one_of(st.sampled_from(near), SMALL_FRACTIONS, st.integers(-3, 3)))
+        assert spec.in_spectrum(z) == (spec.spectrum_distance(z) == 0)
+        window = sp.Window(Fraction(z), sp.domain(-10, 10))
+        assert sp.exact_decision_oracle(spec, window) == (1 if spec.spectrum_distance(window.z) > 0 else 0)
 
     def test_enumeration_entries_are_dense_prefix(self):
         spec = sp.RationalEnumeration(Fraction(0), Fraction(1))
