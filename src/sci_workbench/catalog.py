@@ -15,7 +15,7 @@ from fractions import Fraction
 from importlib import resources
 from pathlib import Path
 from . import integration, spectral
-from .core import Problem
+from .core import Interval, Problem
 from .errors import CatalogError, WorkbenchError
 from .reductions import Reduction, identity_reduction
 
@@ -64,7 +64,12 @@ def diagonal_from_json(data: dict) -> spectral.DiagonalSpec:
     raise CatalogError(f"unknown diagonal kind {kind!r}")
 
 
-def _spectral_pairs(params: dict, j_domain: spectral.Domain) -> tuple[spectral.Pair, ...]:
+def _interval(raw) -> Interval:
+    """A two-element ``[a, b]`` array of exact rationals: an integration interval or a spectral domain."""
+    return Interval(*(parse_fraction(v) for v in raw))
+
+
+def _spectral_pairs(params: dict, j_domain: Interval) -> tuple[spectral.Pair, ...]:
     pairs = []
     for raw in params["pairs"]:
         spec = diagonal_from_json(_object(raw, "a spectral pair")["diagonal"])
@@ -73,9 +78,9 @@ def _spectral_pairs(params: dict, j_domain: spectral.Domain) -> tuple[spectral.P
     return tuple(pairs)
 
 
-def _stabilization_params(params: dict) -> tuple[spectral.Domain, spectral.StabilizerSpec, tuple]:
+def _stabilization_params(params: dict) -> tuple[Interval, spectral.StabilizerSpec, tuple]:
     """Domain, certified stabilizer and pairs of a stabilized problem or reduction."""
-    j_domain = spectral.domain(*(parse_fraction(v) for v in params["domain"]))
+    j_domain = _interval(params["domain"])
     stabilizer = spectral.StabilizerSpec.certify(diagonal_from_json(params["stabilizer"]), j_domain)
     return j_domain, stabilizer, _spectral_pairs(params, j_domain)
 
@@ -103,15 +108,14 @@ def problem_from_json(entry: dict) -> Problem:
         raise CatalogError("entry needs a params object")
 
     if kind == "integration":
-        a, b = (parse_fraction(v) for v in params["interval"])
-        iv = integration.Interval(a, b)
+        iv = _interval(params["interval"])
         functions = None
         if "functions" in params:
             functions = tuple(function_from_json(f) for f in params["functions"])
         return integration.make_problem(iv, functions)
 
     if kind == "spectral_source":
-        j_domain = spectral.domain(*(parse_fraction(v) for v in params["domain"]))
+        j_domain = _interval(params["domain"])
         return spectral.source_problem(j_domain, _spectral_pairs(params, j_domain))
 
     if kind == "spectral_stabilized":
@@ -203,12 +207,10 @@ def _named_reduction(rule, params) -> Reduction:
         return identity_reduction(problem_from_json(params["problem"]))
 
     if rule == "integration_affine":
-        target_iv = integration.Interval(*(parse_fraction(v) for v in params["target"]))
-        target_problem = integration.make_problem(target_iv)
+        target_problem = integration.make_problem(_interval(params["target"]))
         source_problem = None
         if "source" in params:
-            source_iv = integration.Interval(*(parse_fraction(v) for v in params["source"]))
-            source_problem = integration.make_problem(source_iv)
+            source_problem = integration.make_problem(_interval(params["source"]))
         return integration.affine_reduction(target_problem, source_problem)
 
     if rule in ("spectral_forward", "spectral_backward"):

@@ -25,7 +25,7 @@ from . import degrees as dg
 from . import integration as ig
 from . import spectral as sp
 from .catalog import diagonal_from_json, function_from_json, load_catalog, reduction_from_json
-from .core import evaluate_tower, run_algorithm
+from .core import Interval, Problem, evaluate_tower, run_algorithm
 from .errors import CatalogError, NonFiniteReport, UsageError, WorkbenchError
 from .reductions import compose, pullback_tower, verify_reduction
 
@@ -134,6 +134,11 @@ def parse_diagonal_spec(text: str) -> sp.DiagonalSpec:
     return _parse_spelled(text, "diagonal", _DIAGONAL_SPELLINGS, diagonal_from_json)
 
 
+def _interval(ends: Sequence[str]) -> Interval:
+    """An ``--interval`` or ``--domain`` pair, or one part of ``--intervals``, as an interval."""
+    return Interval(_fraction(ends[0]), _fraction(ends[1]))
+
+
 def _points_list(text: str) -> list[Fraction]:
     if not text.strip():
         return []
@@ -184,7 +189,6 @@ def build_parser() -> _Parser:
     stabilize.add_argument("--stabilizer", required=True)
     sreduce = spectral_cmd.add_parser("reduce")
     sreduce.add_argument("--stabilizer", default="const:5")
-    sreduce.add_argument("--domain", nargs=2, default=("0", "1"), metavar=("J0", "J1"))
     sreduce.add_argument("--samples", type=int, default=100)
 
     koopman_cmd = top.add_parser("koopman").add_subparsers(dest="action", required=True)
@@ -246,7 +250,7 @@ def _sine_in_double_range(args, func) -> None:
 
 
 def _cmd_integrate_tower(args, seed):
-    iv = ig.Interval(_fraction(args.interval[0]), _fraction(args.interval[1]))
+    iv = _interval(args.interval)
     func = parse_function_spec(args.function)
     _sine_in_double_range(args, func)
     problem = ig.make_problem(iv, (func,))
@@ -275,20 +279,21 @@ def _double(args, name: str, value: Fraction) -> float:
 
 def _cmd_integrate_adversary(args, seed):
     points = _points_list(args.points)
-    gadget = ig.adversary_bump(points)
-    vanishes = all(gadget.value(p) == 0 for p in points)
-    result = {"u": gadget.u, "v": gadget.v, "integral": gadget.integral}
+    bump = ig.adversary_bump(points)
+    integral = bump.integral(bump.u, bump.v)
+    vanishes = all(bump.value(p) == 0 for p in points)
+    result = {"u": bump.u, "v": bump.v, "integral": integral}
     checks = [
         CheckItem("vanishes at every query point", vanishes),
-        CheckItem("positive integral", gadget.integral > 0, to_jsonable(gadget.integral)),
+        CheckItem("positive integral", integral > 0, to_jsonable(integral)),
     ]
     # replay demo: defeat the stage-4 rectangle protocol by avoiding its nodes too
     unit = ig.interval(0, 1)
     probe = ig.rectangle_tower(unit).stage((4,))
     aware = ig.adversary_bump(points + [Fraction(j, 4) for j in range(4)])
-    problem = ig.make_problem(unit, (ig.polynomial(0), aware.function()))
+    problem = ig.make_problem(unit, (ig.polynomial(0), aware))
     out_zero, _ = run_algorithm(probe, problem, ig.polynomial(0))
-    out_bump, _ = run_algorithm(probe, problem, aware.function())
+    out_bump, _ = run_algorithm(probe, problem, aware)
     checks.append(
         CheckItem("fixed protocol cannot separate the gadget from 0", out_zero == out_bump)
     )
@@ -296,7 +301,7 @@ def _cmd_integrate_adversary(args, seed):
 
 
 def _cmd_integrate_reduce(args, seed):
-    iv = ig.Interval(_fraction(args.interval[0]), _fraction(args.interval[1]))
+    iv = _interval(args.interval)
     reduction = ig.affine_reduction(ig.make_problem(iv))
     report = verify_reduction(reduction, args.samples, seed=seed)
     return {"reduction": reduction.name, "report": report}, [
@@ -310,7 +315,7 @@ def _decide_stages(spec, window, args):
 
 
 def _cmd_spectral_decide(args, seed):
-    j_domain = sp.domain(_fraction(args.domain[0]), _fraction(args.domain[1]))
+    j_domain = _interval(args.domain)
     spec = parse_diagonal_spec(args.diagonal)
     window = sp.Window(_fraction(args.z), j_domain)
     problem = sp.source_problem(j_domain, ((spec, window),))
@@ -324,7 +329,7 @@ def _cmd_spectral_decide(args, seed):
 
 
 def _cmd_spectral_stabilize(args, seed):
-    j_domain = sp.domain(_fraction(args.domain[0]), _fraction(args.domain[1]))
+    j_domain = _interval(args.domain)
     spec = parse_diagonal_spec(args.diagonal)
     window = sp.Window(_fraction(args.z), j_domain)
     stabilizer = sp.StabilizerSpec.certify(parse_diagonal_spec(args.stabilizer), j_domain)
@@ -338,16 +343,17 @@ def _cmd_spectral_stabilize(args, seed):
     ]
 
 
-def _spectral_catalog_pairs(args):
-    catalog = load_catalog(args.catalog)
-    return catalog.first("spectral_source").problem.inputs.members
+def _spectral_source(catalog_path) -> Problem:
+    """The catalog's first ``spectral_source`` problem: the spectral and degree commands work on it."""
+    return load_catalog(catalog_path).first("spectral_source").problem
 
 
 def _cmd_spectral_reduce(args, seed):
-    j_domain = sp.domain(_fraction(args.domain[0]), _fraction(args.domain[1]))
-    stabilizer = sp.StabilizerSpec.certify(parse_diagonal_spec(args.stabilizer), j_domain)
-    pairs = _spectral_catalog_pairs(args)
-    forward, backward = sp.stabilization_reductions(j_domain, stabilizer, pairs)
+    stab_spec = parse_diagonal_spec(args.stabilizer)
+    source = _spectral_source(args.catalog)
+    j_domain, pairs = source.params["domain"], source.inputs.members
+    stabilizer = sp.StabilizerSpec.certify(stab_spec, j_domain)
+    forward, backward = sp.stabilization_reductions(j_domain, stabilizer, pairs, source=source)
     fwd_report = verify_reduction(forward, args.samples, seed=seed)
     bwd_report = verify_reduction(backward, args.samples, seed=seed)
     round_trip = all(backward.encoder(forward.encoder(pair)) == pair for pair in pairs)
@@ -418,8 +424,7 @@ def _integration_package(samples: int, seed: int, intervals=None):
 
 
 def _spectral_package(samples: int, seed: int, catalog_path=None):
-    catalog = load_catalog(catalog_path)
-    source = catalog.first("spectral_source").problem
+    source = _spectral_source(catalog_path)
     j_domain = source.params["domain"]
     pairs = source.inputs.members
     source_cert = ct.recorded_certificate("spectral/singleton-window-source", source.name)
@@ -479,11 +484,9 @@ def _cmd_certify_saturate(args, seed):
 
 
 def _degree_operands(args):
-    catalog = load_catalog(args.catalog)
     p0 = ig.make_problem(ig.interval(0, 1),
                          (ig.polynomial(1), ig.polynomial(0, 1), ig.polynomial(0, 0, 1)))
-    p1 = catalog.first("spectral_source").problem
-    return p0, p1
+    return p0, _spectral_source(args.catalog)
 
 
 def _cmd_degrees_join(args, seed):
@@ -552,7 +555,7 @@ def _cmd_reduce_compose(args, seed):
         ends = part.split(",")
         if len(ends) != 2:
             raise UsageError(f"--intervals part {part!r} is not an interval a,b")
-        chain.append(ig.make_problem(ig.Interval(_fraction(ends[0]), _fraction(ends[1]))))
+        chain.append(ig.make_problem(_interval(ends)))
     if len(chain) < 3:
         raise UsageError("--intervals needs at least three intervals, e.g. '0,1;0,2;0,4'")
     # compose the whole chain left to right; the width law is checked on the last step
@@ -574,7 +577,7 @@ def _cmd_reduce_compose(args, seed):
 
 
 def _cmd_reduce_pullback(args, seed):
-    iv = ig.Interval(_fraction(args.interval[0]), _fraction(args.interval[1]))
+    iv = _interval(args.interval)
     func = parse_function_spec(args.function)
     _sine_in_double_range(args, func)
     unit = ig.make_problem(ig.interval(0, 1), (func,))

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Any, Callable, Generator, Iterable, Iterator, Sequence
 
 from .errors import (
@@ -38,6 +39,36 @@ QueryId = tuple
 
 #: Hard cap on the queries of one run; guarantees every run terminates.
 DEFAULT_BUDGET = 10**6
+
+
+@dataclass(frozen=True)
+class Interval:
+    """The closed rational interval [a, b], a <= b; an integration interval or a spectral domain."""
+
+    a: Fraction
+    b: Fraction
+
+    def __post_init__(self):
+        if not (isinstance(self.a, Fraction) and isinstance(self.b, Fraction)):
+            raise TypeError("interval endpoints must be Fractions; use interval()")
+        if self.a > self.b:
+            raise ValueError(f"need a <= b, got [{self.a}, {self.b}]")
+
+    @property
+    def degenerate(self) -> bool:
+        return self.a == self.b
+
+    @property
+    def length(self) -> Fraction:
+        return self.b - self.a
+
+    def __str__(self) -> str:
+        return f"[{self.a},{self.b}]"
+
+
+def interval(a, b) -> Interval:
+    """Build an interval from ints, strings or Fractions."""
+    return Interval(Fraction(a), Fraction(b))
 
 
 @dataclass(frozen=True, init=False)

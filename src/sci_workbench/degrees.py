@@ -164,19 +164,26 @@ class MeetResult:
     right: Reduction  # meet <= p1
 
 
-def singleton_problem() -> Problem:
-    """One input, one output point, one constant query."""
+def _one_point_problem(name: str, space: str, point=0, *, queries: bool = True) -> Problem:
+    """The one input ``POINT``, mapped to ``point``; the one constant query, or none at all."""
     return Problem(
-        name="singleton",
+        name=name,
         inputs=InputCatalog((POINT,)),
-        output_space=OutputSpace("point", lambda p, q: 0, carrier=(0,)),
-        target=lambda _a: 0,
+        output_space=OutputSpace(space, lambda p, q: 0, carrier=(point,)),
+        target=lambda _a: point,
         queries=QueryFamily(
             "constant",
             lambda qid: (lambda _a: 0) if qid == CONST_QUERY else None,
             canonical_ids=(CONST_QUERY,),
-        ),
+        )
+        if queries
+        else QueryFamily.empty("empty"),
     )
+
+
+def singleton_problem() -> Problem:
+    """One input, one output point, one constant query."""
+    return _one_point_problem("singleton", "point")
 
 
 def lower_bound_meet(p0: Problem, p1: Problem) -> MeetResult:
@@ -220,13 +227,7 @@ def counterexample_pair() -> tuple[Problem, Problem]:
     (legal: the separating condition is vacuous for constant targets).  The
     second has two inputs with distinct outputs separated by one query.
     """
-    p0 = Problem(
-        name="no-queries",
-        inputs=InputCatalog((POINT,)),
-        output_space=OutputSpace("point", lambda p, q: 0, carrier=(0,)),
-        target=lambda _a: 0,
-        queries=QueryFamily.empty("empty"),
-    )
+    p0 = _one_point_problem("no-queries", "point", queries=False)
     p1 = Problem(
         name="two-point",
         inputs=InputCatalog(("a", "b")),
@@ -243,21 +244,8 @@ def counterexample_pair() -> tuple[Problem, Problem]:
 
 def identity_class_pair() -> tuple[Problem, Problem]:
     """Two one-point problems whose output carriers {0} and {1} already clash."""
-
-    def one_point(name: str, point) -> Problem:
-        return Problem(
-            name=name,
-            inputs=InputCatalog((POINT,)),
-            output_space=OutputSpace(f"point[{point}]", lambda p, q: 0, carrier=(point,)),
-            target=lambda _a, _p=point: _p,
-            queries=QueryFamily(
-                "constant",
-                lambda qid: (lambda _a: 0) if qid == CONST_QUERY else None,
-                canonical_ids=(CONST_QUERY,),
-            ),
-        )
-
-    return one_point("carrier-zero", 0), one_point("carrier-one", 1)
+    return (_one_point_problem("carrier-zero", "point[0]", 0),
+            _one_point_problem("carrier-one", "point[1]", 1))
 
 
 @dataclass(frozen=True)

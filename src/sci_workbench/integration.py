@@ -19,6 +19,7 @@ from typing import Any, Callable, Sequence
 from .core import (
     GeneralAlgorithm,
     InputCatalog,
+    Interval,
     OutputSpace,
     Problem,
     QueryFamily,
@@ -26,37 +27,10 @@ from .core import (
     _randbelow,
     check_budget,
     fixed_query_algorithm,
+    interval,
 )
 from .errors import DegenerateInterval
 from .reductions import Decoder, DecoderClass, PlanEntry, QueryPlan, Reduction
-
-
-@dataclass(frozen=True)
-class Interval:
-    a: Fraction
-    b: Fraction
-
-    def __post_init__(self):
-        if not (isinstance(self.a, Fraction) and isinstance(self.b, Fraction)):
-            raise TypeError("interval endpoints must be Fractions; use interval()")
-        if self.a > self.b:
-            raise ValueError(f"need a <= b, got [{self.a}, {self.b}]")
-
-    @property
-    def degenerate(self) -> bool:
-        return self.a == self.b
-
-    @property
-    def length(self) -> Fraction:
-        return self.b - self.a
-
-    def __str__(self) -> str:
-        return f"[{self.a},{self.b}]"
-
-
-def interval(a, b) -> Interval:
-    """Build an interval from ints, strings or Fractions."""
-    return Interval(Fraction(a), Fraction(b))
 
 
 class FunctionDescription:
@@ -501,29 +475,7 @@ def grid_nodes(iv: Interval, n: int) -> tuple[Fraction, ...]:
     return tuple(qid[1] for qid in _grid_ids(iv.a, iv.b, n))
 
 
-@dataclass(frozen=True)
-class BumpGadget:
-    """Tent adversary vanishing on a given finite query set, positive integral."""
-
-    u: Fraction
-    v: Fraction
-
-    @property
-    def apex(self) -> Fraction:
-        return (self.u + self.v) / 2
-
-    @property
-    def integral(self) -> Fraction:
-        return (self.v - self.u) / 2
-
-    def function(self) -> Bump:
-        return Bump(self.u, self.v)
-
-    def value(self, x):
-        return self.function().value(x)
-
-
-def adversary_bump(query_points: Sequence) -> BumpGadget:
+def adversary_bump(query_points: Sequence) -> Bump:
     """Defeat any fixed finite-query protocol on the unit interval.
 
     Sort {0} | points | {1}, take the widest open gap between consecutive
@@ -544,7 +496,7 @@ def adversary_bump(query_points: Sequence) -> BumpGadget:
         if right - left > best_right - best_left:
             best_left, best_right = left, right
     gap = best_right - best_left
-    return BumpGadget(best_left + gap / 4, best_right - gap / 4)
+    return Bump(best_left + gap / 4, best_right - gap / 4)
 
 
 def affine_reduction(target: Problem, source: Problem | None = None) -> Reduction:

@@ -22,6 +22,7 @@ from typing import Callable, Sequence
 
 from .core import (
     InputCatalog,
+    Interval,
     OutputSpace,
     Problem,
     QueryFamily,
@@ -32,21 +33,6 @@ from .core import (
 )
 from .errors import UncertifiedStabilizer, UnsupportedKind, WindowOutsideDomain
 from .reductions import Decoder, DecoderClass, PlanEntry, QueryPlan, Reduction, _take_first
-
-Domain = tuple[Fraction, Fraction]
-
-
-def domain(lo, hi) -> Domain:
-    lo, hi = Fraction(lo), Fraction(hi)
-    if lo > hi:
-        raise ValueError(f"domain needs lo <= hi, got [{lo}, {hi}]")
-    return (lo, hi)
-
-
-def _span(j_domain: Domain) -> str:
-    """A domain as names and messages print it, ``[lo,hi]``."""
-    return f"[{j_domain[0]},{j_domain[1]}]"
-
 
 def _interval_distance(z: Fraction, lo: Fraction, hi: Fraction) -> Fraction:
     return max(Fraction(0), lo - z, z - hi)
@@ -264,10 +250,10 @@ class Window:
     """A one-point window {z} inside its compact domain."""
 
     z: Fraction
-    domain: Domain
+    domain: Interval
 
     def __post_init__(self):
-        lo, hi = self.domain
+        lo, hi = self.domain.a, self.domain.b
         if not lo <= self.z <= hi:
             raise WindowOutsideDomain(f"window point {self.z} outside [{lo}, {hi}]")
 
@@ -307,7 +293,7 @@ Pair = tuple[DiagonalSpec, Window]
 def _window_problem(
     name: str,
     queries_name: str,
-    j_domain: Domain,
+    j_domain: Interval,
     members: tuple,
     *,
     is_operator: Callable[[object], bool],
@@ -326,7 +312,7 @@ def _window_problem(
     for _, window in members:
         if window.domain != j_domain:
             raise WindowOutsideDomain(
-                f"window domain {_span(window.domain)} differs from problem domain {_span(j_domain)}"
+                f"window domain {window.domain} differs from problem domain {j_domain}"
             )
 
     def resolver(qid):
@@ -370,7 +356,7 @@ def _window_problem(
     )
 
 
-def source_problem(j_domain: Domain, pairs: Sequence[Pair], name: str | None = None) -> Problem:
+def source_problem(j_domain: Interval, pairs: Sequence[Pair], name: str | None = None) -> Problem:
     """The singleton-window decision problem over diagonal operators.
 
     Queries: matrix entries mu_(i,j) (diagonal entries for i = j, exact 0
@@ -394,8 +380,8 @@ def source_problem(j_domain: Domain, pairs: Sequence[Pair], name: str | None = N
         return ("mu", j, j)
 
     return _window_problem(
-        name or f"spectral-window{_span(j_domain)}",
-        f"spectral-queries{_span(j_domain)}",
+        name or f"spectral-window{j_domain}",
+        f"spectral-queries{j_domain}",
         j_domain,
         tuple(pairs),
         is_operator=lambda op: isinstance(op, DiagonalSpec),
@@ -409,7 +395,7 @@ def source_problem(j_domain: Domain, pairs: Sequence[Pair], name: str | None = N
     )
 
 
-def decision_tower(j_domain: Domain) -> Tower:
+def decision_tower(j_domain: Interval) -> Tower:
     """Derived height-2 decision tower (an upper-bound witness on the catalog).
 
     Stage (n2, n1) asks rho_(n2) and the first n1 diagonal entries and
@@ -425,7 +411,7 @@ def decision_tower(j_domain: Domain) -> Tower:
         n2, n1 = idx
         if n2 < 1 or n1 < 1:
             raise ValueError("stage indices must be >= 1")
-        name = f"decide{_span(j_domain)}@({n2},{n1})"
+        name = f"decide{j_domain}@({n2},{n1})"
         check_budget(name, n2, "dyadic bits")
         check_budget(name, n1 + 1)
         ids = (("rho", n2),) + tuple(("mu", j, j) for j in range(1, n1 + 1))
@@ -436,7 +422,7 @@ def decision_tower(j_domain: Domain) -> Tower:
 
         return fixed_query_algorithm(name, ids, finish)
 
-    return Tower(f"decision{_span(j_domain)}", 2, stages)
+    return Tower(f"decision{j_domain}", 2, stages)
 
 
 def _all_farther(values, r, cut) -> bool:
@@ -482,23 +468,18 @@ class StabilizerSpec:
     """A diagonal block certified to keep its spectrum away from the window domain."""
 
     spec: DiagonalSpec
-    domain: Domain
+    domain: Interval
     margin: Fraction
 
     def __post_init__(self):
         if self.margin <= 0:
             raise UncertifiedStabilizer(
-                f"{self.spec.label()} has no certified spectral gap to {_span(self.domain)}"
+                f"cannot certify spectrum of {self.spec.label()} away from {self.domain}"
             )
 
     @classmethod
-    def certify(cls, spec: DiagonalSpec, j_domain: Domain) -> "StabilizerSpec":
-        margin = spec.distance_to_interval(*j_domain)
-        if margin <= 0:
-            raise UncertifiedStabilizer(
-                f"cannot certify spectrum of {spec.label()} away from {_span(j_domain)}"
-            )
-        return cls(spec, j_domain, margin)
+    def certify(cls, spec: DiagonalSpec, j_domain: Interval) -> "StabilizerSpec":
+        return cls(spec, j_domain, spec.distance_to_interval(j_domain.a, j_domain.b))
 
 
 @dataclass(frozen=True)
@@ -519,7 +500,7 @@ class BlockOperator:
 
 
 def stabilized_problem(
-    j_domain: Domain,
+    j_domain: Interval,
     stabilizer: StabilizerSpec,
     pairs: Sequence[Pair],
     name: str | None = None,
@@ -557,8 +538,8 @@ def stabilized_problem(
         return ("nu", i, r, j, s)
 
     return _window_problem(
-        name or f"stabilized[{j_domain[0]},{j_domain[1]}|{stabilizer.spec.label()}]",
-        f"stabilized-queries{_span(j_domain)}",
+        name or f"stabilized[{j_domain.a},{j_domain.b}|{stabilizer.spec.label()}]",
+        f"stabilized-queries{j_domain}",
         j_domain,
         tuple((BlockOperator(spec, stabilizer), window) for spec, window in pairs),
         is_operator=lambda op: isinstance(op, BlockOperator) and op.second == stabilizer,
@@ -573,7 +554,7 @@ def stabilized_problem(
 
 
 def stabilization_reductions(
-    j_domain: Domain,
+    j_domain: Interval,
     stabilizer: StabilizerSpec,
     pairs: Sequence[Pair],
     *,

@@ -17,7 +17,7 @@ from sci_workbench import integration as ig
 from sci_workbench import koopman as kp
 from sci_workbench import spectral as sp
 from sci_workbench.catalog import load_catalog
-from sci_workbench.core import evaluate_tower, fixed_query_algorithm, run_algorithm
+from sci_workbench.core import evaluate_tower, fixed_query_algorithm, interval, run_algorithm
 from sci_workbench.errors import MissingClause
 from sci_workbench.reductions import (
     PlanEntry,
@@ -29,7 +29,7 @@ from sci_workbench.reductions import (
     verify_reduction,
 )
 
-J = sp.domain(0, 1)
+J = interval(0, 1)
 
 QUAD_INTERVALS = (
     ig.interval(0, 1),
@@ -127,7 +127,7 @@ def test_criterion_02_adversary_soundness():
         ]
         gadget = ig.adversary_bump(points)
         assert all(gadget.value(p) == 0 for p in points)
-        assert gadget.integral == (gadget.v - gadget.u) / 2 > 0
+        assert gadget.integral(gadget.u, gadget.v) == (gadget.v - gadget.u) / 2 > 0
 
     problem = ig.make_problem(ig.interval(0, 1))
     zero = ig.polynomial(0)
@@ -135,9 +135,9 @@ def test_criterion_02_adversary_soundness():
     for protocol in _fixed_probe_protocols():
         out_zero, trace_zero = run_algorithm(protocol, problem, zero)
         gadget = ig.adversary_bump([qid[1] for qid in trace_zero.ids])
-        out_bump, trace_bump = run_algorithm(protocol, problem, gadget.function())
+        out_bump, trace_bump = run_algorithm(protocol, problem, gadget)
         assert out_zero == out_bump and trace_zero == trace_bump
-        assert problem.target(gadget.function()) > 0
+        assert problem.target(gadget) > 0
         replayed += 1
     _report(
         2,

@@ -100,7 +100,9 @@ class TestDispatch:
         (["spectral", "decide", "--diagonal", "enum:0,1", "--z", "1/3", "--n2", "100000000"],
          "error: BudgetExceeded: decide[0,1]@(100000000,7) would need 100000000 dyadic bits,"
          " over the budget of 1000000 dyadic bits\n"),
-    ], ids=["uncertified-stabilizer", "decide-budget"])
+        (["spectral", "decide", "--diagonal", "const:1", "--z", "1/2", "--domain", "1", "0"],
+         "bad argument value: need a <= b, got [1, 0]\n"),
+    ], ids=["uncertified-stabilizer", "decide-budget", "reversed-domain"])
     def test_spectral_errors_print_the_domain_as_an_interval(self, argv, message, capsys):
         assert main(argv) == 2
         captured = capsys.readouterr()
@@ -143,6 +145,23 @@ def test_non_object_spec_values_exit_2(argv, tmp_path, capsys):
     assert main([arg.replace("{catalog}", str(catalog)) for arg in argv]) == 2
     err = capsys.readouterr().err
     assert err.startswith("catalog error:") and "Traceback" not in err
+
+
+def test_spectral_reduce_takes_the_domain_of_the_catalog(tmp_path, capsys):
+    pairs = [{"diagonal": {"kind": "const", "value": "2"}, "z": "2"},
+             {"diagonal": {"kind": "finite_list", "values": ["0", "3/2"], "tail": "3/2"}, "z": "1"},
+             {"diagonal": {"kind": "enum", "lo": "0", "hi": "2"}, "z": "5/3"}]
+    catalog = tmp_path / "catalog.json"
+    catalog.write_text(json.dumps({"schema": "sci-workbench/catalog@1", "entries": [
+        {"problem": "spectral_source", "params": {"domain": ["0", "2"], "pairs": pairs}}]}))
+    argv = ["--catalog", str(catalog), "spectral", "reduce", "--stabilizer", "const:5", "--samples", "8"]
+    report = dispatch(argv)
+    assert report.passed
+    assert (report.result["forward"], report.result["backward"]) == ("stabilize[const:5]", "strip[const:5]")
+    assert "domain" not in report.parameters
+    # the domain is the catalog's, so the option that restated it is gone
+    assert main([*argv, "--domain", "0", "2"]) == 2
+    assert capsys.readouterr().err.startswith("usage error: unrecognized arguments: --domain 0 2")
 
 
 EMPTY_CATALOG_PROBLEMS = {
@@ -438,6 +457,14 @@ def test_command_process_never_imports_numpy(argv):
                                 f"sys.stderr.write({NUMPY_LOADED}); sys.exit(code)")
     assert done.returncode == 0
     assert json.loads(done.stdout)["command"] == " ".join(argv[:2])
+    assert done.stderr == b"[]"
+
+
+def test_spectral_imports_neither_integration_nor_numpy():
+    # the spectral domain is the interval of core, so the spectral family stands without integration
+    done = _run_fresh("import sys; import sci_workbench.spectral; sys.stderr.write(repr(sorted(m for m in sys.modules "
+                      "if m == 'sci_workbench.integration' or m.split('.')[0] == 'numpy')))")
+    assert done.returncode == 0
     assert done.stderr == b"[]"
 
 

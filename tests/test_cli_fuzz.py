@@ -44,7 +44,7 @@ OPTIONS = {
     ("spectral", "stabilize"): {
         "--diagonal": DIAGONAL, "--z": RATIONAL, "--domain": INTERVAL, "--stabilizer": DIAGONAL,
     },
-    ("spectral", "reduce"): {"--stabilizer": DIAGONAL, "--domain": INTERVAL, "--samples": SAMPLES},
+    ("spectral", "reduce"): {"--stabilizer": DIAGONAL, "--samples": SAMPLES},
     ("koopman", "finite"): {
         "--map": st.sampled_from(["2,1", "1", "3,1,2", "1,1,1", "0", "5,1", "x", "", "1,,2"]),
         "--weights": st.sampled_from(["1,1", "1", "1/2,2", "0,1", "-1,1", "x", "1/0,1", "1e400,1", ""]),

@@ -10,6 +10,7 @@ from sci_workbench import spectral as sp
 from sci_workbench.core import (
     Ask,
     GeneralAlgorithm,
+    Interval,
     QueryFamily,
     QueryTrace,
     check_consistency,
@@ -18,6 +19,7 @@ from sci_workbench.core import (
     evaluate_tower,
     finite_query_factorization,
     fixed_query_algorithm,
+    interval,
     probe_convergence,
     run_algorithm,
 )
@@ -34,6 +36,24 @@ from sci_workbench.reductions import pullback_algorithm
 @pytest.fixture
 def unit_problem():
     return ig.make_problem(ig.interval(0, 1))
+
+
+class TestInterval:
+    def test_both_families_share_the_one_interval_type(self, spectral_source):
+        assert ig.Interval is Interval and ig.interval is interval
+        assert spectral_source.params["domain"] == interval(0, 1)
+
+    @pytest.mark.parametrize("build, name", [
+        (lambda: sp.source_problem(interval(0, 1), ()).name, "spectral-window[0,1]"),
+        (lambda: sp.source_problem(interval("-1/2", 3), ()).queries.name, "spectral-queries[-1/2,3]"),
+        (lambda: sp.stabilized_problem(
+            interval(0, 1), sp.StabilizerSpec.certify(sp.constant_diagonal(5), interval(0, 1)), ()
+        ).name, "stabilized[0,1|const:5]"),
+        (lambda: sp.decision_tower(interval(0, 1)).stage((3, 2)).name, "decide[0,1]@(3,2)"),
+        (lambda: ig.make_problem(ig.interval("1/2", "5/2")).name, "integration[1/2,5/2]"),
+    ], ids=["source", "source-queries", "stabilized", "decide-stage", "integration"])
+    def test_names_print_the_interval(self, build, name):
+        assert build() == name
 
 
 class TestQueryTraceShape:
@@ -141,7 +161,7 @@ class TestLocality:
         ids = [("ev", Fraction(0)), ("ev", Fraction(1, 2)), ("ev", Fraction(1))]
         alg = fixed_query_algorithm("probe", ids, lambda vals: sum(vals))
         gadget = ig.adversary_bump([Fraction(0), Fraction(1, 2), Fraction(1)])
-        report = check_locality(alg, unit_problem, ig.polynomial(0), gadget.function())
+        report = check_locality(alg, unit_problem, ig.polynomial(0), gadget)
         assert report.passed and report.premise_holds
 
     def test_same_input(self, unit_problem):

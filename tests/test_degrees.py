@@ -129,6 +129,18 @@ class TestCounterexamples:
         assert dg.counterexample_demo("cont") == dg.counterexample_demo("cont")
         assert dg.counterexample_demo("id") == dg.counterexample_demo("id")
 
+    def test_one_point_problems_keep_their_names_and_carriers(self):
+        no_queries, _ = dg.counterexample_pair()
+        problems = (dg.singleton_problem(), no_queries, *dg.identity_class_pair())
+        assert [(p.name, p.output_space.name, p.output_space.carrier, p.target(dg.POINT),
+                 p.queries.name, p.queries.canonical_ids, p.queries.is_empty) for p in problems] == [
+            ("singleton", "point", (0,), 0, "constant", (dg.CONST_QUERY,), False),
+            ("no-queries", "point", (0,), 0, "empty", (), True),
+            ("carrier-zero", "point[0]", (0,), 0, "constant", (dg.CONST_QUERY,), False),
+            ("carrier-one", "point[1]", (1,), 1, "constant", (dg.CONST_QUERY,), False),
+        ]
+        assert all(p.inputs.members == (dg.POINT,) for p in problems)
+
     def test_two_point_member_separates(self):
         _, p1 = dg.counterexample_pair()
         assert p1.target("a") != p1.target("b")

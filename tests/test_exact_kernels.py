@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from sci_workbench import integration as ig
 from sci_workbench import spectral as sp
-from sci_workbench.core import evaluate_tower
+from sci_workbench.core import evaluate_tower, interval
 from sci_workbench.integration import _exact_sum, _is_coordinate
 from sci_workbench.spectral import _all_farther
 
@@ -348,7 +348,7 @@ def test_affine_rule_matches_reference(data, source_ends, target_ends):
     *[st.one_of(st.integers(-2, 9), st.booleans(), st.sampled_from([1.0, Fraction(2), "1"]))] * 2,
 ))
 def test_spectral_matrix_entry_membership_matches_reference(qid):
-    problem = sp.source_problem(sp.domain(0, 1), ())
+    problem = sp.source_problem(interval(0, 1), ())
     assert (qid in problem.queries) == ref_mu_member(qid)
 
 

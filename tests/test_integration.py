@@ -109,8 +109,8 @@ class TestAdversary:
     )
     def test_spec_gap_selection(self, points, u, v):
         gadget = ig.adversary_bump(points)
-        assert (gadget.u, gadget.v) == (u, v)
-        assert gadget.integral == (v - u) / 2
+        assert gadget == ig.Bump(u, v)
+        assert gadget.integral(gadget.u, gadget.v) == (v - u) / 2
 
     @settings(max_examples=60, deadline=None)
     @given(st.lists(rationals_01, max_size=50))
@@ -118,8 +118,8 @@ class TestAdversary:
         gadget = ig.adversary_bump(points)
         assert 0 < gadget.u < gadget.v < 1
         assert all(gadget.value(p) == 0 for p in points)
-        assert gadget.integral == (gadget.v - gadget.u) / 2 > 0
-        assert gadget.function().integral(Fraction(0), Fraction(1)) == gadget.integral
+        assert gadget.integral(gadget.u, gadget.v) == (gadget.v - gadget.u) / 2 > 0
+        assert gadget.integral(Fraction(0), Fraction(1)) == (gadget.v - gadget.u) / 2
 
     def test_replay_blinds_fixed_protocol(self):
         problem = ig.make_problem(ig.interval(0, 1))
@@ -128,10 +128,10 @@ class TestAdversary:
         _, trace = run_algorithm(stage, problem, zero)
         gadget = ig.adversary_bump([qid[1] for qid in trace.ids])
         out_zero, trace_zero = run_algorithm(stage, problem, zero)
-        out_bump, trace_bump = run_algorithm(stage, problem, gadget.function())
+        out_bump, trace_bump = run_algorithm(stage, problem, gadget)
         assert out_zero == out_bump == 0
         assert trace_zero == trace_bump
-        assert problem.target(gadget.function()) > 0  # the targets still differ
+        assert problem.target(gadget) > 0  # the targets still differ
 
 
 class TestAffineReduction:

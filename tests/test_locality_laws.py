@@ -15,10 +15,10 @@ from hypothesis import strategies as st
 from sci_workbench import integration as ig
 from sci_workbench import koopman as kp
 from sci_workbench import spectral as sp
-from sci_workbench.core import check_locality, finite_query_factorization, run_algorithm
+from sci_workbench.core import check_locality, finite_query_factorization, interval, run_algorithm
 from sci_workbench.reductions import pullback_algorithm
 
-J = sp.domain(0, 1)
+J = interval(0, 1)
 DECISION = sp.decision_tower(J)
 STABILIZER = sp.StabilizerSpec.certify(sp.constant_diagonal(5), J)
 _, STRIP = sp.stabilization_reductions(J, STABILIZER, [(sp.constant_diagonal(0), sp.Window(Fraction(0), J))])

@@ -21,6 +21,7 @@ from sci_workbench.core import (
     QueryFamily,
     check_locality,
     evaluate_tower,
+    interval,
     run_algorithm,
 )
 from sci_workbench.errors import (
@@ -164,7 +165,7 @@ class TestVerify:
         )
         assert verify_reduction(forward, 20).passed
         # same entries, but a stabilizer certified against [0, 2]: not a target input
-        elsewhere = sp.StabilizerSpec.certify(sp.constant_diagonal(5), sp.domain(0, 2))
+        elsewhere = sp.StabilizerSpec.certify(sp.constant_diagonal(5), interval(0, 2))
         moved = dataclasses.replace(
             forward, encoder=lambda pair: (sp.BlockOperator(pair[0], elsewhere), pair[1])
         )

@@ -7,11 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sci_workbench import spectral as sp
-from sci_workbench.core import DEFAULT_BUDGET, evaluate_tower
+from sci_workbench.core import DEFAULT_BUDGET, evaluate_tower, interval
 from sci_workbench.errors import BudgetExceeded, UncertifiedStabilizer, UnsupportedKind, WindowOutsideDomain
 from sci_workbench.reductions import compose, verify_reduction
 
-J = sp.domain(0, 1)
+J = interval(0, 1)
 SMALL_FRACTIONS = st.fractions(min_value=-3, max_value=3, max_denominator=12)
 
 
@@ -67,13 +67,13 @@ class TestWindowApproximant:
 class TestExactOracle:
     def test_finite_list_hit(self):
         spec = sp.FiniteThenConstant((Fraction(1), Fraction(2), Fraction(3)), Fraction(3))
-        wide = sp.domain(0, 3)
+        wide = interval(0, 3)
         assert sp.exact_decision_oracle(spec, sp.Window(Fraction(2), wide)) == 0
         assert sp.exact_decision_oracle(spec, sp.Window(Fraction(5, 2), wide)) == 1
 
     def test_enumeration_distances(self):
         spec = sp.RationalEnumeration(Fraction(0), Fraction(1))
-        assert sp.exact_decision_oracle(spec, sp.Window(Fraction(2), sp.domain(0, 2))) == 1
+        assert sp.exact_decision_oracle(spec, sp.Window(Fraction(2), interval(0, 2))) == 1
         assert sp.exact_decision_oracle(spec, sp.Window(Fraction(1, 3), J)) == 0
 
     def test_harmonic_distances(self):
@@ -122,7 +122,7 @@ class TestExactOracle:
         near = [spec.entry(j) for j in (1, 2, 3, 7, 40)] + [x, y, x + y, min(x, y) - 1]
         z = data.draw(st.one_of(st.sampled_from(near), SMALL_FRACTIONS, st.integers(-3, 3)))
         assert spec.in_spectrum(z) == (spec.spectrum_distance(z) == 0)
-        window = sp.Window(Fraction(z), sp.domain(-10, 10))
+        window = sp.Window(Fraction(z), interval(-10, 10))
         assert sp.exact_decision_oracle(spec, window) == (1 if spec.spectrum_distance(window.z) > 0 else 0)
 
     def test_enumeration_entries_are_dense_prefix(self):
@@ -257,6 +257,9 @@ class TestStabilization:
             sp.StabilizerSpec.certify(sp.constant_diagonal(Fraction(1, 2)), J)
         with pytest.raises(UncertifiedStabilizer):
             sp.StabilizerSpec.certify(sp.RationalEnumeration(Fraction(0), Fraction(2)), J)
+        # a margin handed to the constructor meets the one check, with the message certify gives
+        with pytest.raises(UncertifiedStabilizer, match=r"^cannot certify spectrum of const:5 away from \[0,1\]$"):
+            sp.StabilizerSpec(sp.constant_diagonal(5), J, Fraction(0))
 
     def test_stabilized_targets(self, stabilizer):
         pairs = (

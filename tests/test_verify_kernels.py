@@ -28,7 +28,7 @@ from hypothesis import strategies as st
 from sci_workbench import degrees as dg
 from sci_workbench import integration as ig
 from sci_workbench import spectral as sp
-from sci_workbench.core import InputCatalog, OutputSpace, Problem, QueryFamily, check_budget
+from sci_workbench.core import InputCatalog, OutputSpace, Problem, QueryFamily, check_budget, interval
 from sci_workbench.reductions import (
     PlanEntry,
     QueryPlan,
@@ -437,7 +437,7 @@ class TestDrawKeys:
 # --- window approximant -------------------------------------------------------
 
 
-WIDE = sp.domain(-(10**6), 10**6)
+WIDE = interval(-(10**6), 10**6)
 
 
 class TestWindowApproximantEqualsReference:
