@@ -10,8 +10,10 @@ name shipped construction rules; free-form reductions are not accepted.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from importlib import resources
 from pathlib import Path
 from . import integration, spectral
@@ -21,10 +23,21 @@ from .reductions import Reduction, identity_reduction
 
 CATALOG_SCHEMA = "sci-workbench/catalog@1"
 
+#: Largest decimal exponent a rational literal may carry: CPython prints at
+#: most 4300 digits of an int, so no report could show a larger value.
+_MAX_EXPONENT = 4300
+_EXPONENT = re.compile(r"[eE][-+]?([0-9_]+)\s*\Z")
+
 
 def parse_fraction(value) -> Fraction:
+    """An exact rational from a string or int; a float, a bool or a huge decimal exponent is refused."""
     if isinstance(value, bool) or isinstance(value, float):
         raise CatalogError(f"exact rational expected, got {value!r}; encode as string or int")
+    exponent = _EXPONENT.search(value) if isinstance(value, str) else None
+    if exponent:
+        digits = exponent[1].replace("_", "").lstrip("0")
+        if len(digits) > len(str(_MAX_EXPONENT)) or int(digits or 0) > _MAX_EXPONENT:
+            raise CatalogError(f"rational {value!r} has a decimal exponent beyond {_MAX_EXPONENT} in magnitude")
     try:
         return Fraction(value)
     except (ValueError, TypeError, ZeroDivisionError) as exc:
@@ -133,6 +146,8 @@ def problem_from_json(entry: dict) -> Problem:
 
 @dataclass(frozen=True)
 class CatalogEntry:
+    """One typed entry; shared by every load of its document, so read-only, ``params`` included."""
+
     kind: str
     problem: Problem
     params: dict
@@ -157,14 +172,34 @@ def default_catalog_path() -> Path:
     return Path(resources.files("sci_workbench").joinpath("data/default_catalog.json"))
 
 
+#: Distinct catalog documents kept built: a process reads one or two, a test a few more.
+_BUILT_DOCUMENTS = 4
+
+
 def load_catalog(path: str | Path | None = None) -> Catalog:
-    """Load and type-check a catalog document; errors carry the entry location."""
+    """Load and type-check a catalog document; errors carry the entry location.
+
+    The file is read on every call, and its typed catalog is built once per
+    process for each distinct content at each location: loads of the same
+    bytes return the same :class:`Catalog`, so its entries, their problems
+    and their raw ``params`` are shared and read-only.
+    """
     location = Path(path) if path is not None else default_catalog_path()
     try:
-        document = json.loads(location.read_text())
+        data = location.read_bytes()
     except FileNotFoundError as exc:
         raise CatalogError(f"catalog file not found: {location}") from exc
-    except (OSError, UnicodeDecodeError) as exc:
+    except OSError as exc:
+        raise CatalogError(f"cannot read catalog {location}: {exc}") from exc
+    return _build_catalog(str(location), data)
+
+
+@lru_cache(maxsize=_BUILT_DOCUMENTS)
+def _build_catalog(location: str, data: bytes) -> Catalog:
+    """The typed catalog of one UTF-8 document; an error is raised again on every load, never kept."""
+    try:
+        document = json.loads(data.decode("utf-8"))
+    except UnicodeDecodeError as exc:
         raise CatalogError(f"cannot read catalog {location}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise CatalogError(f"{location}: invalid JSON at line {exc.lineno}") from exc
@@ -184,7 +219,7 @@ def load_catalog(path: str | Path | None = None) -> Catalog:
         except (WorkbenchError, KeyError, TypeError, ValueError) as exc:
             raise CatalogError(f"{location}: entry {index}: {exc!r}") from exc
         entries.append(CatalogEntry(raw["problem"], problem, raw.get("params", {})))
-    return Catalog(str(location), tuple(entries))
+    return Catalog(location, tuple(entries))
 
 
 def reduction_from_json(spec: dict) -> Reduction:

@@ -304,20 +304,23 @@ class AffineImage(FunctionDescription):
         return f"affine[{self.scale}*({self.base.label()})({self.alpha}x+{self.beta})]"
 
 
+#: The members of every default catalog that do not depend on the interval, built once.
+_INTERVAL_FREE_DEFAULTS: tuple[FunctionDescription, ...] = (
+    polynomial(1),
+    polynomial(0, 1),
+    polynomial(0, 0, 1),
+    polynomial("1/2", "-1/3", 0, "1/4"),
+    Sine(1.0, 1.0),
+    Sine(0.5, 2.0),
+)
+
+
 def default_functions(iv: Interval) -> tuple[FunctionDescription, ...]:
-    """A small mixed catalog: exact polynomials plus float sines."""
-    funcs: list[FunctionDescription] = [
-        polynomial(1),
-        polynomial(0, 1),
-        polynomial(0, 0, 1),
-        polynomial("1/2", "-1/3", 0, "1/4"),
-        Sine(1.0, 1.0),
-        Sine(0.5, 2.0),
-    ]
-    if not iv.degenerate:
-        width = iv.length
-        funcs.append(Bump(iv.a + width / 4, iv.a + 3 * width / 4))
-    return tuple(funcs)
+    """A small mixed catalog: exact polynomials plus float sines, and a bump on a nondegenerate ``iv``."""
+    if iv.degenerate:
+        return _INTERVAL_FREE_DEFAULTS
+    width = iv.length
+    return (*_INTERVAL_FREE_DEFAULTS, Bump(iv.a + width / 4, iv.a + 3 * width / 4))
 
 
 def _is_coordinate(x) -> bool:

@@ -253,9 +253,8 @@ class Window:
     domain: Interval
 
     def __post_init__(self):
-        lo, hi = self.domain.a, self.domain.b
-        if not lo <= self.z <= hi:
-            raise WindowOutsideDomain(f"window point {self.z} outside [{lo}, {hi}]")
+        if not self.domain.a <= self.z <= self.domain.b:
+            raise WindowOutsideDomain(f"window point {self.z} outside {self.domain}")
 
 
 @dataclass(frozen=True)

@@ -102,7 +102,9 @@ class TestDispatch:
          " over the budget of 1000000 dyadic bits\n"),
         (["spectral", "decide", "--diagonal", "const:1", "--z", "1/2", "--domain", "1", "0"],
          "bad argument value: need a <= b, got [1, 0]\n"),
-    ], ids=["uncertified-stabilizer", "decide-budget", "reversed-domain"])
+        (["spectral", "decide", "--diagonal", "const:1", "--z", "2"],
+         "error: WindowOutsideDomain: window point 2 outside [0,1]\n"),
+    ], ids=["uncertified-stabilizer", "decide-budget", "reversed-domain", "window-outside-domain"])
     def test_spectral_errors_print_the_domain_as_an_interval(self, argv, message, capsys):
         assert main(argv) == 2
         captured = capsys.readouterr()
@@ -406,6 +408,27 @@ def test_exact_bound_out_of_double_range_is_named(b, n, named, capsys):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["spectral", "decide", "--diagonal", "const:1", "--z", "1e1000000"],
+     "usage error: rational '1e1000000' has a decimal exponent beyond 4300 in magnitude\n"),
+    (["integrate", "tower", "--interval", "0", "1E5000", "--function", "poly:1", "--n", "4"],
+     "usage error: rational '1E5000' has a decimal exponent beyond 4300 in magnitude\n"),
+    (["integrate", "tower", "--interval", "0", "1", "--function", "poly:1e-9999", "--n", "4"],
+     "usage error: bad function spec 'poly:1e-9999': rational '1e-9999' has a decimal exponent"
+     " beyond 4300 in magnitude\n"),
+], ids=["z", "interval", "mini-grammar"])
+def test_huge_decimal_exponent_exits_2_before_parsing(argv, message, capsys):
+    # 10**exponent would be built in full, and no report could print a value that large
+    assert main(["--json", *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == message and captured.out == ""
+
+
+def test_malformed_rational_keeps_its_usage_message(capsys):
+    assert main(["spectral", "decide", "--diagonal", "const:1", "--z", "1/0"]) == 2
+    assert capsys.readouterr().err == "usage error: expected a rational like 3/4, got '1/0'\n"
+
+
 def test_usage_error_between_identical_calls_leaves_the_report_unchanged(capsys):
     # the parser is built once per process, so a failed parse must leave nothing behind
     argv = ["--json", "integrate", "reduce", "--interval", "0", "2", "--samples", "8"]
@@ -441,10 +464,10 @@ NUMPY_FREE_COMMANDS = {
 }
 
 
-def _run_fresh(script: str) -> subprocess.CompletedProcess:
-    """Run ``script`` in a fresh interpreter that imports the package from this checkout."""
+def _run_fresh(script: str, *flags: str) -> subprocess.CompletedProcess:
+    """Run ``script`` in a fresh interpreter, with ``flags``, that imports the package from this checkout."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]))
-    return subprocess.run([sys.executable, "-c", script], capture_output=True, env=env, timeout=120)
+    return subprocess.run([sys.executable, *flags, "-c", script], capture_output=True, env=env, timeout=120)
 
 
 NUMPY_LOADED = "repr(sorted(m for m in sys.modules if m.split('.')[0] == 'numpy'))"
@@ -458,6 +481,32 @@ def test_command_process_never_imports_numpy(argv):
     assert done.returncode == 0
     assert json.loads(done.stdout)["command"] == " ".join(argv[:2])
     assert done.stderr == b"[]"
+
+
+@pytest.mark.parametrize("statement", [
+    "load_catalog()", "sys.exit(main(['reduce', 'verify', '--spec', SPEC, '--samples', '4']))",
+], ids=["catalog", "spec"])
+def test_catalog_and_spec_files_are_read_as_utf8(statement, tmp_path):
+    # a read in the locale's encoding warns under these flags, and the warning is an error
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"rule": "integration_affine", "params": {"target": ["0", "2"]}}), encoding="utf-8")
+    script = (f"import sys; from sci_workbench.catalog import load_catalog; from sci_workbench.cli import main; "
+              f"SPEC = {str(spec)!r}; {statement}")
+    done = _run_fresh(script, "-X", "warn_default_encoding", "-W", "error::EncodingWarning")
+    assert done.returncode == 0, done.stderr.decode()
+    assert done.stderr == b""
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--catalog", "{file}", "spectral", "reduce"], "catalog error: cannot read catalog {file}: "),
+    (["reduce", "verify", "--spec", "{file}"], "usage error: cannot read --spec file '{file}': "),
+], ids=["catalog", "spec"])
+def test_undecodable_file_exits_2(argv, message, tmp_path, capsys):
+    bad = tmp_path / "latin1.json"
+    bad.write_bytes('{"schema": "caf\u00e9"}'.encode("latin-1"))
+    assert main([arg.replace("{file}", str(bad)) for arg in argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(message.replace("{file}", str(bad))) and "can't decode byte 0xe9" in err
 
 
 def test_spectral_imports_neither_integration_nor_numpy():

@@ -34,6 +34,23 @@ class TestProblems:
         assert ("ev", Fraction(3, 2)) not in problem.queries
         assert ("mu", 1, 1) not in problem.queries
 
+    @pytest.mark.parametrize("iv", [ig.interval(5, 5), ig.interval(0, 1), ig.interval(-3, "-1/2")],
+                             ids=["degenerate", "unit", "negative"])
+    def test_default_functions_are_the_mixed_catalog_in_order(self, iv):
+        # the interval-free members are built once; only the bump follows the interval
+        expected = [
+            ig.polynomial(1),
+            ig.polynomial(0, 1),
+            ig.polynomial(0, 0, 1),
+            ig.polynomial("1/2", "-1/3", 0, "1/4"),
+            ig.Sine(1.0, 1.0),
+            ig.Sine(0.5, 2.0),
+        ]
+        if not iv.degenerate:
+            expected.append(ig.Bump(iv.a + iv.length / 4, iv.a + 3 * iv.length / 4))
+        assert list(ig.default_functions(iv)) == expected
+        assert list(ig.make_problem(iv).inputs) == expected
+
 
 class TestRectangleTower:
     def test_stage_values(self):
