@@ -23,21 +23,33 @@ from .reductions import Reduction, identity_reduction
 
 CATALOG_SCHEMA = "sci-workbench/catalog@1"
 
-#: Largest decimal exponent a rational literal may carry: CPython prints at
-#: most 4300 digits of an int, so no report could show a larger value.
+#: Largest decimal exponent a rational literal may carry. It bounds the cost of
+#: the power of ten that ``Fraction`` builds (10**4300 is about 14,300 bits); 4300
+#: is CPython's limit on the digits of an int string conversion, but a value at
+#: the bound can still be too long to print.
 _MAX_EXPONENT = 4300
-_EXPONENT = re.compile(r"[eE][-+]?([0-9_]+)\s*\Z")
+#: ``Fraction`` reads an exponent in any Unicode decimal digits, so ``\d`` matches them all.
+_EXPONENT = re.compile(r"[eE][-+]?(\d[\d_]*)\s*\Z")
+
+
+def _bound_exponent(text: str, error: type[WorkbenchError] = CatalogError) -> None:
+    """Raise ``error`` if ``text`` carries a decimal exponent beyond the bound, before any power of ten is built."""
+    match = _EXPONENT.search(text)
+    if match is None:
+        return
+    magnitude = 0
+    for digit in match[1].replace("_", ""):
+        magnitude = 10 * magnitude + int(digit)
+        if magnitude > _MAX_EXPONENT:
+            raise error(f"rational {text!r} has a decimal exponent beyond {_MAX_EXPONENT} in magnitude")
 
 
 def parse_fraction(value) -> Fraction:
     """An exact rational from a string or int; a float, a bool or a huge decimal exponent is refused."""
     if isinstance(value, bool) or isinstance(value, float):
         raise CatalogError(f"exact rational expected, got {value!r}; encode as string or int")
-    exponent = _EXPONENT.search(value) if isinstance(value, str) else None
-    if exponent:
-        digits = exponent[1].replace("_", "").lstrip("0")
-        if len(digits) > len(str(_MAX_EXPONENT)) or int(digits or 0) > _MAX_EXPONENT:
-            raise CatalogError(f"rational {value!r} has a decimal exponent beyond {_MAX_EXPONENT} in magnitude")
+    if isinstance(value, str):
+        _bound_exponent(value)
     try:
         return Fraction(value)
     except (ValueError, TypeError, ZeroDivisionError) as exc:
@@ -182,7 +194,9 @@ def load_catalog(path: str | Path | None = None) -> Catalog:
     The file is read on every call, and its typed catalog is built once per
     process for each distinct content at each location: loads of the same
     bytes return the same :class:`Catalog`, so its entries, their problems
-    and their raw ``params`` are shared and read-only.
+    and their raw ``params`` are shared and read-only. Only a process that
+    loads one document more than once, as one calling ``cli.main`` in a loop
+    does, saves time; a single CLI command loads its catalog once.
     """
     location = Path(path) if path is not None else default_catalog_path()
     try:

@@ -24,7 +24,7 @@ from . import certificates as ct
 from . import degrees as dg
 from . import integration as ig
 from . import spectral as sp
-from .catalog import diagonal_from_json, function_from_json, load_catalog, parse_fraction, reduction_from_json
+from .catalog import _bound_exponent, diagonal_from_json, function_from_json, load_catalog, reduction_from_json
 from .core import Interval, Problem, evaluate_tower, run_algorithm
 from .errors import CatalogError, NonFiniteReport, UsageError, WorkbenchError
 from .reductions import compose, pullback_tower, verify_reduction
@@ -82,12 +82,11 @@ def _seed() -> int:
 
 
 def _fraction(text: str) -> Fraction:
+    _bound_exponent(text, UsageError)
     try:
-        return parse_fraction(text)
-    except CatalogError as exc:
-        # a literal the parser failed on is malformed; one refused before parsing keeps its reason
-        reason = str(exc) if exc.__cause__ is None else f"expected a rational like 3/4, got {text!r}"
-        raise UsageError(reason) from None
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise UsageError(f"expected a rational like 3/4, got {text!r}") from None
 
 
 #: The mini grammar spells the catalog kinds: CLI spelling -> (JSON kind, field names).

@@ -72,13 +72,16 @@ def test_at_most_the_bound_of_documents_is_kept(built, tmp_path):
 
 @pytest.mark.parametrize("text, value", [
     ("1e4300", 10**4300), ("-2E-4300", Fraction(-2, 10**4300)), ("1e0004300", 10**4300),
-    ("3/4", Fraction(3, 4)), (" 1.5e1 ", 15),
-], ids=["bound", "negative-bound", "leading-zeros", "ratio", "spaced"])
+    ("1e\u0664\u0663\u0660\u0660", 10**4300), ("3/4", Fraction(3, 4)), (" 1.5e1 ", 15),
+], ids=["bound", "negative-bound", "leading-zeros", "arabic-indic-bound", "ratio", "spaced"])
 def test_a_decimal_exponent_up_to_the_bound_parses(text, value):
     assert parse_fraction(text) == value
 
 
-@pytest.mark.parametrize("text", ["1e4301", "1e-4301", "1E+4_301", "5e" + "9" * 50, "1e1000000"])
+@pytest.mark.parametrize("text", [
+    "1e4301", "1e-4301", "1E+4_301", "5e" + "9" * 50, "1e1000000",
+    "1e\u0669\u0669\u0669\u0669\u0669\u0669", "1e\uff19\uff19\uff19\uff19\uff19",
+], ids=["above", "negative", "underscore", "long", "million", "arabic-indic", "full-width"])
 def test_a_decimal_exponent_beyond_the_bound_is_refused(text):
     with pytest.raises(CatalogError, match="decimal exponent beyond 4300 in magnitude") as exc:
         parse_fraction(text)

@@ -416,9 +416,12 @@ def test_exact_bound_out_of_double_range_is_named(b, n, named, capsys):
     (["integrate", "tower", "--interval", "0", "1", "--function", "poly:1e-9999", "--n", "4"],
      "usage error: bad function spec 'poly:1e-9999': rational '1e-9999' has a decimal exponent"
      " beyond 4300 in magnitude\n"),
-], ids=["z", "interval", "mini-grammar"])
+    (["spectral", "decide", "--diagonal", "const:1", "--z", "1e\u0669\u0669\u0669\u0669\u0669\u0669"],
+     "usage error: rational '1e\u0669\u0669\u0669\u0669\u0669\u0669' has a decimal exponent"
+     " beyond 4300 in magnitude\n"),
+], ids=["z", "interval", "mini-grammar", "arabic-indic-digits"])
 def test_huge_decimal_exponent_exits_2_before_parsing(argv, message, capsys):
-    # 10**exponent would be built in full, and no report could print a value that large
+    # Fraction would build 10**exponent in full, whatever script the exponent's digits are in
     assert main(["--json", *argv]) == 2
     captured = capsys.readouterr()
     assert captured.err == message and captured.out == ""
