@@ -26,7 +26,7 @@ from . import integration as ig
 from . import spectral as sp
 from .catalog import _bound_exponent, diagonal_from_json, function_from_json, load_catalog, reduction_from_json
 from .core import Interval, Problem, evaluate_tower, run_algorithm
-from .errors import CatalogError, NonFiniteReport, UsageError, WorkbenchError
+from .errors import CatalogError, NonFiniteReport, UnprintableReport, UsageError, WorkbenchError
 from .reductions import compose, pullback_tower, verify_reduction
 
 REPORT_SCHEMA = "sci-workbench/run-report@1"
@@ -55,22 +55,63 @@ class RunReport:
         return all(c.passed for c in self.checks)
 
 
-def to_jsonable(value):
-    """Lossless-enough JSON encoding: exact rationals as strings, complex as pairs."""
+def to_jsonable(value, path: str = "value"):
+    """Lossless-enough JSON encoding: exact rationals as strings, complex as pairs.
+
+    An exact number with more digits than the interpreter prints raises
+    :class:`UnprintableReport`, which names the number by its ``path``.
+    """
     if isinstance(value, Fraction):
+        _require_printable(value, path)
         return str(value)
     if isinstance(value, complex):
         return [value.real, value.imag]
-    if isinstance(value, (str, int, float, bool)) or value is None:
+    if isinstance(value, (str, float, bool)) or value is None:
+        return value
+    if isinstance(value, int):
+        _require_printable(value, path)
         return value
     if isinstance(value, dict):
-        return {str(k): to_jsonable(v) for k, v in value.items()}
+        return {str(k): to_jsonable(v, f"{path}.{k}") for k, v in value.items()}
     if isinstance(value, (list, tuple)):
-        return [to_jsonable(v) for v in value]
+        return [to_jsonable(v, f"{path}[{i}]") for i, v in enumerate(value)]
     if is_dataclass(value) and not isinstance(value, type):
         # a field left out of the repr (a report's bound reduction, say) stays out of the report
-        return {f.name: to_jsonable(getattr(value, f.name)) for f in dataclasses.fields(value) if f.repr}
+        return {
+            f.name: to_jsonable(getattr(value, f.name), f"{path}.{f.name}")
+            for f in dataclasses.fields(value)
+            if f.repr
+        }
     return str(value)
+
+
+def _decimal_digits(n: int) -> int:
+    """The number of decimal digits of ``abs(n)``, counted without converting it to a string."""
+    n = abs(n)
+    # 2^(b-1) <= n < 2^b for b bits, so the count is this estimate or one more
+    estimate = max(1, math.floor((n.bit_length() - 1) * math.log10(2)) + 1)
+    return estimate + 1 if n >= 10**estimate else estimate
+
+
+def _require_printable(value, name: str, error: type[WorkbenchError] = UnprintableReport) -> None:
+    """Raise ``error``, naming ``value``, if it is an exact number with more digits than the interpreter prints.
+
+    A literal at the exponent bound (``1e4300``) has such a value, and so may a result computed
+    from printable ones; any other value passes.
+    """
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
+    if isinstance(value, Fraction):
+        terms = (("a numerator of ", value.numerator), ("a denominator of ", value.denominator))
+    elif type(value) is int:
+        terms = (("", value),)
+    else:
+        return
+    for term, n in terms:
+        # below 2^(3 * limit) = 8^limit < 10^limit, a number has at most limit digits
+        if limit and n.bit_length() > 3 * limit:
+            digits = _decimal_digits(n)
+            if digits > limit:
+                raise error(f"{name} has {term}{digits} digits, more than the {limit} the interpreter prints")
 
 
 def _seed() -> int:
@@ -84,9 +125,11 @@ def _seed() -> int:
 def _fraction(text: str) -> Fraction:
     _bound_exponent(text, UsageError)
     try:
-        return Fraction(text)
+        value = Fraction(text)
     except (ValueError, ZeroDivisionError):
         raise UsageError(f"expected a rational like 3/4, got {text!r}") from None
+    _require_printable(value, f"rational {text!r}", UsageError)  # names and reports print it
+    return value
 
 
 #: The mini grammar spells the catalog kinds: CLI spelling -> (JSON kind, field names).
@@ -261,6 +304,8 @@ def _cmd_integrate_tower(args, seed):
     bound = ig.quadrature_error_bound(func, iv, args.n)
     error = abs(value - exact)
     result = {"stage": args.n, "value": value, "exact": exact, "error": error}
+    for key in ("value", "exact", "error"):  # refused by name, before _double gives only a magnitude
+        _require_printable(result[key], f"result.{key}")
     tolerance = _double(args, "error bound", bound)
     checks = [CheckItem("left-endpoint error bound", error <= bound, _double(args, "error", error), tolerance)]
     return result, checks
@@ -271,7 +316,7 @@ def _double(args, name: str, value: Fraction) -> float:
     try:
         return float(value)
     except OverflowError:
-        digits = len(str(abs(value.numerator) // value.denominator))
+        digits = _decimal_digits(abs(value.numerator) // value.denominator)
         raise ValueError(
             f"--interval {' '.join(args.interval)} gives a left-endpoint {name} of about 10^{digits - 1},"
             " which is out of double range"
@@ -286,7 +331,7 @@ def _cmd_integrate_adversary(args, seed):
     result = {"u": bump.u, "v": bump.v, "integral": integral}
     checks = [
         CheckItem("vanishes at every query point", vanishes),
-        CheckItem("positive integral", integral > 0, to_jsonable(integral)),
+        CheckItem("positive integral", integral > 0, to_jsonable(integral, "result.integral")),
     ]
     # replay demo: defeat the stage-4 rectangle protocol by avoiding its nodes too
     unit = ig.interval(0, 1)
@@ -542,8 +587,10 @@ def _cmd_reduce_verify(args, seed):
     ]
 
 
-#: Most intervals ``reduce compose`` takes: the encoded input nests one affine
-#: image per link, and each query expands through every link of the chain.
+#: Most intervals ``reduce compose`` takes. The affine links fold into one, so
+#: verification costs what one link costs at any length; the bound limits the
+#: argument itself: one problem and one link per interval, and a composite name
+#: in the report that grows by one link name per interval.
 _MAX_CHAIN = 64
 
 
@@ -551,19 +598,18 @@ def _cmd_reduce_compose(args, seed):
     parts = args.intervals.split(";")
     if len(parts) > _MAX_CHAIN:
         raise UsageError(f"--intervals holds {len(parts)} intervals, more than the {_MAX_CHAIN} a chain may have")
-    chain = []
+    problems = []
     for part in parts:
         ends = part.split(",")
         if len(ends) != 2:
             raise UsageError(f"--intervals part {part!r} is not an interval a,b")
-        chain.append(ig.make_problem(_interval(ends)))
-    if len(chain) < 3:
+        problems.append(ig.make_problem(_interval(ends)))
+    if len(problems) < 3:
         raise UsageError("--intervals needs at least three intervals, e.g. '0,1;0,2;0,4'")
-    # compose the whole chain left to right; the width law is checked on the last step
-    composed = ig.affine_reduction(chain[1], chain[0])
-    for previous, nxt in zip(chain[1:], chain[2:]):
-        first, second = composed, ig.affine_reduction(nxt, previous)
-        composed = compose(first, second)
+    chain = [ig.affine_reduction(nxt, previous) for previous, nxt in zip(problems, problems[1:])]
+    composed = compose(*chain)
+    # the width law is checked on the last step: the chain before it, then its last link
+    first, second = compose(*chain[:-1]), chain[-1]
     report = verify_reduction(composed, args.samples, seed=seed)
     probe = composed.target.queries.canonical_ids[1]
     width = composed.plan.entry(probe).width
@@ -630,7 +676,9 @@ def dispatch(argv: Sequence[str]) -> RunReport:
     """Parse, execute and report one subcommand; raises UsageError/CatalogError.
 
     A report whose result or checks hold Infinity or NaN raises
-    :class:`NonFiniteReport` instead of being returned.
+    :class:`NonFiniteReport` instead of being returned, and one holding an
+    exact number with more digits than the interpreter prints raises
+    :class:`UnprintableReport` (see :func:`to_jsonable`).
     """
     args = build_parser().parse_args(list(argv))
     seed = _seed()
@@ -645,12 +693,12 @@ def dispatch(argv: Sequence[str]) -> RunReport:
     report = RunReport(
         command=f"{args.group} {action}",
         parameters=to_jsonable(parameters),
-        result=to_jsonable(result),
+        result=to_jsonable(result, "result"),
         checks=checks,
         seed=seed,
     )
     _require_finite(report.result, "result")
-    _require_finite(to_jsonable(checks), "checks")
+    _require_finite(to_jsonable(checks, "checks"), "checks")
     return report
 
 

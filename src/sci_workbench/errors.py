@@ -105,6 +105,10 @@ class NonFiniteReport(WorkbenchError):
     """A run report holding Infinity or NaN, which strict JSON cannot encode."""
 
 
+class UnprintableReport(WorkbenchError):
+    """A run report holding an exact number with more digits than the interpreter converts to a string."""
+
+
 class WeightOutOfRange(ValueError):
     """A Koopman weight whose double is 0 or infinite, or weights whose weighted matrix leaves double range.
 

@@ -545,7 +545,7 @@ def affine_reduction(target: Problem, source: Problem | None = None) -> Reductio
         p, q = x.numerator, x.denominator
         return PlanEntry((("ev", Fraction(m * p + k * q, d * q)),), combine)
 
-    return Reduction(
+    reduction = Reduction(
         name=f"affine[{s}->{t}]",
         source=source,
         target=target,
@@ -553,6 +553,20 @@ def affine_reduction(target: Problem, source: Problem | None = None) -> Reductio
         decoder=Decoder(lambda y: y, DecoderClass.CONT, "identity"),
         plan=QueryPlan(f"affine[{s}->{t}]", rule),
     )
+    object.__setattr__(reduction, "fold", _fold_affine)
+    return reduction
+
+
+def _fold_affine(run: tuple[Reduction, ...]) -> Reduction:
+    """The one affine link equal to a chain of affine links, first to last.
+
+    Neighbouring links meet at one problem, and each maps its target's interval onto its
+    source's, so the chain maps the last target's interval onto the first source's: it is
+    ``affine_reduction(run[-1].target, run[0].source)``, whose ratio is the product of the
+    links' ratios.  Its encoded input is one ``AffineImage``, and a target id costs one
+    membership test, one source point and one combine, however long the run.
+    """
+    return affine_reduction(run[-1].target, run[0].source)
 
 
 def degenerate_algorithm(a) -> Tower:

@@ -12,6 +12,7 @@ black-box access.
 from __future__ import annotations
 
 import enum
+import itertools
 import random
 from collections import Counter
 from dataclasses import dataclass, field
@@ -120,6 +121,11 @@ class Reduction:
     # the primitives a composite chains, first to last, from which its maps derive; set by compose
     # only, so a primitive or a dataclasses.replace copy has none and composes as one opaque link
     links: tuple = field(default=(), init=False, repr=False)
+    # folds a run of neighbouring links that share it into the one link equal to the run (see
+    # compose); set by a constructor only, so a dataclasses.replace copy has none and never folds
+    fold: Callable[[tuple[Reduction, ...]], Reduction] | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
 
 def _blockwise(entries) -> tuple[tuple[QueryId, ...], Callable[[tuple], tuple]]:
@@ -160,58 +166,92 @@ def identity_reduction(problem: Problem) -> Reduction:
     )
 
 
-def compose(first: Reduction, second: Reduction) -> Reduction:
-    """Blockwise composition: ``first`` (R <= Q) then ``second`` (Q <= P) gives R <= P.
+def _steps(links: tuple) -> list:
+    """``links`` with each maximal run of two or more neighbours sharing a ``fold`` replaced by its fold."""
+    steps = []
+    for fold, group in itertools.groupby(links, key=lambda link: link.fold):
+        run = tuple(group)
+        if fold is None or len(run) == 1:
+            steps += run
+        else:
+            steps.append(fold(run))
+    return steps
 
-    The composite chains the links of ``first`` then of ``second`` flat, so it is associative by
-    structure: encoders run first to last, decoder maps last to first, and a query of P expands
-    link by link, last first, into the blockwise sum of the widths; a gap in any link stays a gap.
+
+def compose(*reductions: Reduction) -> Reduction:
+    """Blockwise composition of a chain: R0 <= R1, R1 <= R2, ..., gives R0 <= Rn.
+
+    ``compose(r1, r2, r3)`` equals the left fold ``compose(compose(r1, r2), r3)`` in its names,
+    decoder tag, errors, links and every observable, and builds each name once.  The composite
+    chains the links of its arguments flat, so it is associative by structure.  Its maps run over
+    the *steps* of the chain: the links, with each maximal run of neighbours that fold (see
+    :attr:`Reduction.fold`) replaced by the one link they fold into.  Encoders run first to last,
+    decoder maps last to first, and a query of Rn expands step by step, last first, into the
+    blockwise sum of the widths; a gap in any step stays a gap.  One reduction composes to itself.
     """
-    if first.target is not second.source:
-        raise ProblemMismatch(
-            f"{first.name} ends at {first.target.name} but {second.name} starts at {second.source.name}"
+    if not reductions:
+        raise TypeError("compose needs at least one reduction")
+    first = reductions[0]
+    if len(reductions) == 1:
+        return first
+    tag = first.decoder.class_tag
+    for k in range(1, len(reductions)):
+        before, after = reductions[k - 1], reductions[k]
+        if before.target is not after.source:
+            raise ProblemMismatch(
+                f"{'>>'.join(r.name for r in reductions[:k])} ends at {before.target.name}"
+                f" but {after.name} starts at {after.source.name}"
+            )
+        same_space = (
+            first.source.output_space.name
+            == before.target.output_space.name
+            == after.target.output_space.name
         )
-    same_space = (
-        first.source.output_space.name
-        == first.target.output_space.name
-        == second.target.output_space.name
-    )
-    tag = decoder_compose_class(first.decoder.class_tag, second.decoder.class_tag, same_space=same_space)
-    links = (first.links or (first,)) + (second.links or (second,))
+        tag = decoder_compose_class(tag, after.decoder.class_tag, same_space=same_space)
+    links = tuple(link for r in reductions for link in (r.links or (r,)))
+    steps = _steps(links)
 
-    def encoder(a):
-        for link in links:
-            a = link.encoder(a)
-        return a
+    if len(steps) == 1:
+        (step,) = steps
+        encoder, decoder_map, rule = step.encoder, step.decoder.map, step.plan.rule
+    else:
+        encoders = tuple(step.encoder for step in steps)
+        decoder_maps = tuple(step.decoder.map for step in reversed(steps))
+        plans = tuple(step.plan for step in reversed(steps))
 
-    def decoder_map(y):
-        for link in reversed(links):
-            y = link.decoder.map(y)
-        return y
+        def encoder(a):
+            for encode in encoders:
+                a = encode(a)
+            return a
 
-    def rule(query_id: QueryId):
-        ids, splits = (query_id,), []
-        for link in reversed(links):
-            entries = [link.plan.entry(qid) for qid in ids]
-            if any(entry is None for entry in entries):
-                return None
-            ids, split = _blockwise(entries)
-            splits.append(split)
+        def decoder_map(y):
+            for decode in decoder_maps:
+                y = decode(y)
+            return y
 
-        def combine(values: tuple):
-            for split in reversed(splits):
-                values = split(values)
-            return values[0]
+        def rule(query_id: QueryId):
+            ids, splits = (query_id,), []
+            for plan in plans:
+                entries = [plan.entry(qid) for qid in ids]
+                if any(entry is None for entry in entries):
+                    return None
+                ids, split = _blockwise(entries)
+                splits.append(split)
 
-        return PlanEntry(ids, combine)
+            def combine(values: tuple):
+                for split in reversed(splits):
+                    values = split(values)
+                return values[0]
+
+            return PlanEntry(ids, combine)
 
     composite = Reduction(
-        name=f"{first.name}>>{second.name}",
+        name=">>".join(r.name for r in reductions),
         source=first.source,
-        target=second.target,
+        target=reductions[-1].target,
         encoder=encoder,
-        decoder=Decoder(decoder_map, tag, f"{first.decoder.name}.{second.decoder.name}"),
-        plan=QueryPlan(f"{first.plan.name}>>{second.plan.name}", rule),
+        decoder=Decoder(decoder_map, tag, ".".join(r.decoder.name for r in reductions)),
+        plan=QueryPlan(">>".join(r.plan.name for r in reductions), rule),
     )
     object.__setattr__(composite, "links", links)
     return composite

@@ -269,12 +269,17 @@ def window_approximant(window: Window, n: int) -> WindowApproximant:
     """r_n; an index over ``DEFAULT_BUDGET`` raises :class:`BudgetExceeded` before 2^(n+2) is built."""
     if n < 1:
         raise ValueError("approximant index must be >= 1")
+    return WindowApproximant(n, _approximant_value(window, n))
+
+
+def _approximant_value(window: Window, n: int) -> Fraction:
+    """The value of r_n for n >= 1, floor(z * 2^(n+2)) / 2^(n+2), budget-checked before 2^(n+2) is built."""
     check_budget("window-approximant", n, "dyadic bits")
     scale = 2 ** (n + 2)
     p, q = window.z.numerator, window.z.denominator
     floor = p * scale // q
     assert 0 <= p * scale - floor * q < q
-    return WindowApproximant(n, Fraction(floor, scale))
+    return Fraction(floor, scale)
 
 
 def exact_decision_oracle(spec: DiagonalSpec, window: Window) -> int:
@@ -319,7 +324,7 @@ def _window_problem(
             return None
         if qid[0] == "rho" and len(qid) == 2 and isinstance(qid[1], int) and qid[1] >= 1:
             n = qid[1]
-            return lambda pair: window_approximant(pair[1], n).value
+            return lambda pair: _approximant_value(pair[1], n)
         return matrix_entry(qid)
 
     def admits(candidate) -> bool:
@@ -512,17 +517,13 @@ def stabilized_problem(
     """
 
     def matrix_entry(qid):
-        if (
-            len(qid) == 5
-            and qid[0] == "nu"
-            and all(isinstance(k, int) for k in qid[1:])
-            and qid[1] >= 1
-            and qid[3] >= 1
-            and qid[2] in (1, 2)
-            and qid[4] in (1, 2)
-        ):
-            i, r, j, s = qid[1], qid[2], qid[3], qid[4]
-            return lambda pair: pair[0].entry(i, r, j, s)
+        if len(qid) == 5 and qid[0] == "nu":
+            _, i, r, j, s = qid
+            if (
+                isinstance(i, int) and isinstance(r, int) and isinstance(j, int) and isinstance(s, int)
+                and i >= 1 and j >= 1 and r in (1, 2) and s in (1, 2)
+            ):
+                return lambda pair: pair[0].entry(i, r, j, s)
         return None
 
     def target(pair) -> int:

@@ -427,6 +427,48 @@ def test_huge_decimal_exponent_exits_2_before_parsing(argv, message, capsys):
     assert captured.err == message and captured.out == ""
 
 
+@pytest.fixture
+def print_limit():
+    """CPython's default limit on the digits of an int string conversion, restored afterwards."""
+    before = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    yield 4300
+    sys.set_int_max_str_digits(before)
+
+
+@pytest.mark.parametrize("argv, message", [
+    # a literal at the exponent bound: 10^4300 has 4301 digits, and the problem's name prints it
+    (["integrate", "tower", "--interval", "0", "1e4300", "--function", "poly:1", "--n", "2"],
+     "usage error: rational '1e4300' has a numerator of 4301 digits"),
+    # a computed value: the exact integral 10^5000 / 2 of x over [0, 10^2500]
+    (["integrate", "tower", "--interval", "0", "1e2500", "--function", "poly:0,1", "--n", "2"],
+     "error: UnprintableReport: result.value has a numerator of 5000 digits"),
+    # a point p = 1 / (3 * 10^4299): the tent's area (1 - p) / 4 has the denominator 12 * 10^4299
+    (["integrate", "adversary", "--points", "1/3" + "0" * 4299],
+     "error: UnprintableReport: result.integral has a denominator of 4301 digits"),
+], ids=["endpoint", "integral", "adversary"])
+def test_exact_value_too_long_to_print_exits_2_by_name(argv, message, print_limit, capsys):
+    for flag in (["--json"], []):
+        assert main([*flag, *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"{message}, more than the 4300 the interpreter prints\n"
+        assert captured.out == ""
+
+
+def test_exact_value_at_the_print_limit_prints(print_limit, capsys):
+    assert main(["--json", "integrate", "tower", "--interval", "0", "1e4299", "--function", "poly:1", "--n", "2"]) == 0
+    result = json.loads(capsys.readouterr().out)["result"]
+    assert result["value"] == result["exact"] == "1" + "0" * 4299
+
+
+def test_decimal_digits_counts_without_a_string(print_limit):
+    from sci_workbench.cli import _decimal_digits
+
+    for n in (0, 1, 9, 10, 99, 100, 2**64, 10**17 - 1, 10**17, 10**4299, 10**4300 - 1):
+        assert _decimal_digits(n) == _decimal_digits(-n) == len(str(n))
+    assert _decimal_digits(10**4300) == 4301 and _decimal_digits(10**9999 - 1) == 9999
+
+
 def test_malformed_rational_keeps_its_usage_message(capsys):
     assert main(["spectral", "decide", "--diagonal", "const:1", "--z", "1/0"]) == 2
     assert capsys.readouterr().err == "usage error: expected a rational like 3/4, got '1/0'\n"

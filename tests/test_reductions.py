@@ -496,7 +496,7 @@ class TestFlatChain:
         assert report.passed and report.max_discrepancy == 0.0
 
     def test_long_affine_chain_verifies(self):
-        # the encoded input nests one affine image per link, so this chain stays below the stack limit
+        # the left fold, one binary compose per link; its affine links fold into one
         unit, wide = ig.make_problem(ig.interval(0, 1)), ig.make_problem(ig.interval(-1, 2))
         there, back = ig.affine_reduction(wide, unit), ig.affine_reduction(unit, wide)
         n = sys.getrecursionlimit() // 2
@@ -556,6 +556,134 @@ class TestFlatChain:
         assert verify_reduction(flat, 4, queries_per_sample=4, seed=seed) == verify_reduction(
             nested, 4, queries_per_sample=4, seed=seed
         )
+
+
+def alternating_chain(n):
+    """``n`` affine links between [0,1] and [-1,2], there and back, first to last."""
+    unit, wide = ig.make_problem(ig.interval(0, 1)), ig.make_problem(ig.interval(-1, 2))
+    there, back = ig.affine_reduction(wide, unit), ig.affine_reduction(unit, wide)
+    return [there, back] * (n // 2) + [there] * (n % 2)
+
+
+#: non-dyadic neighbours for affine chains, so that every link has a non-dyadic ratio and shift
+NON_DYADIC = (("1/3", "7/5"), ("-2/7", "5/3"), ("1/2", "9/4"), ("-3/5", "1/7"), ("2/9", "11/3"), (0, 1))
+
+
+def non_dyadic_chain(size):
+    problems = [ig.make_problem(ig.interval(a, b)) for a, b in NON_DYADIC[: size + 1]]
+    return [ig.affine_reduction(there, here) for here, there in zip(problems, problems[1:])]
+
+
+def affine_depth(f) -> int:
+    depth = 0
+    while isinstance(f, ig.AffineImage):
+        depth, f = depth + 1, f.base
+    return depth
+
+
+class TestFoldedChain:
+    """Neighbouring affine links fold into one affine link; every observable stays that of the chain."""
+
+    def test_ten_thousand_link_chain_builds_and_verifies(self):
+        links = alternating_chain(10_000)
+        composed = compose(*links)
+        assert len(composed.links) == 10_000
+        assert composed.name == ">>".join(link.name for link in links)
+        assert composed.plan.name == ">>".join(link.plan.name for link in links)
+        assert composed.decoder.name == ".".join(["identity"] * 10_000)
+        f = ig.polynomial(0, 0, 1)
+        encoded = composed.encoder(f)
+        assert affine_depth(encoded) == 1 and encoded.base is f
+        # an even chain goes there and back: the identity map of [0,1]
+        entry = composed.plan.entry(("ev", Fraction(1, 3)))
+        assert entry.source_ids == (("ev", Fraction(1, 3)),) and entry.combine((Fraction(5, 7),)) == Fraction(5, 7)
+        report = verify_reduction(composed, 100, queries_per_sample=20)
+        assert report.passed and report.max_discrepancy == 0.0
+
+    def test_odd_chain_is_the_single_link(self):
+        links = alternating_chain(2 * sys.getrecursionlimit() + 1)
+        composed, single = compose(*links), links[0]
+        for x in (Fraction(-1), Fraction(1, 7), Fraction(2)):
+            assert composed.plan.entry(("ev", x)).source_ids == single.plan.entry(("ev", x)).source_ids
+        assert composed.plan.entry(("ev", Fraction(3))) is None
+        for seed in (0, 3):
+            assert verify_reduction(composed, 20, seed=seed) == verify_reduction(single, 20, seed=seed)
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.data())
+    def test_equals_the_binary_left_fold(self, stabilization, data):
+        """``compose(*links)`` has the names, tag, links and report of one binary call per link."""
+        size = data.draw(st.integers(2, 6), label="links")
+        here, links = data.draw(problems()), []
+        for _ in range(size):
+            kind = data.draw(st.sampled_from(["affine", "identity", "widened"]), label="kind")
+            if kind == "identity":
+                links.append(identity_reduction(here))
+                continue
+            there = data.draw(problems())
+            links.append(ig.affine_reduction(there, here) if kind == "affine" else affine_step(here, there, 2))
+            here = there
+        cut = data.draw(st.integers(1, size - 1), label="cut")
+        seed = data.draw(st.integers(0, 2**16), label="seed")
+        folded, left = compose(*links), chained(links)
+        bracketed = compose(compose(*links[:cut]), compose(*links[cut:]))
+        for other in (left, bracketed):
+            assert (folded.name, folded.decoder.name, folded.plan.name, folded.decoder.class_tag) == (
+                other.name, other.decoder.name, other.plan.name, other.decoder.class_tag
+            )
+            assert folded.links == other.links == tuple(links)
+            assert repr(verify_reduction(folded, 4, queries_per_sample=5, seed=seed)) == repr(
+                verify_reduction(other, 4, queries_per_sample=5, seed=seed)
+            )
+
+    def test_errors_equal_the_binary_left_fold(self, chain, stabilization):
+        r1 = ig.affine_reduction(chain[1], chain[0])
+        r2 = ig.affine_reduction(chain[2], chain[1])
+        for links in ([r1, r2, r1], [r1, r1, r2], [r1, r2, stabilization[0]]):
+            with pytest.raises(ProblemMismatch) as folded:
+                compose(*links)
+            with pytest.raises(ProblemMismatch) as left:
+                chained(links)
+            assert str(folded.value) == str(left.value)
+        exact = dataclasses.replace(r2, decoder=Decoder(lambda y: y, DecoderClass.ID, "exact"))
+        for links in ([r1, exact], [identity_reduction(chain[0]), r1, exact]):
+            with pytest.raises(TagIncompatible) as folded:
+                compose(*links)
+            with pytest.raises(TagIncompatible) as left:
+                chained(links)
+            assert str(folded.value) == str(left.value)
+        assert compose(r1) is r1
+        with pytest.raises(TypeError):
+            compose()
+
+    @pytest.mark.parametrize("seed", [0, 3, 7919])
+    @pytest.mark.parametrize("size", [2, 3, 4, 5])
+    def test_folded_chain_reports_as_replace_copies(self, size, seed):
+        """Copies made with ``dataclasses.replace`` do not fold, and the chain reports the same."""
+        links = non_dyadic_chain(size)
+        copies = [dataclasses.replace(link) for link in links]
+        folded, unfolded = compose(*links), compose(*copies)
+        members = folded.source.inputs.members
+        assert any(isinstance(f, ig.Sine) for f in members)
+        for f in members:
+            assert affine_depth(folded.encoder(f)) == 1
+            assert affine_depth(unfolded.encoder(f)) == size
+        report = verify_reduction(folded, 100, seed=seed)
+        assert report.passed
+        assert repr(report) == repr(verify_reduction(unfolded, 100, seed=seed))
+
+    def test_runs_fold_between_links_that_do_not(self, chain):
+        r1 = ig.affine_reduction(chain[1], chain[0])
+        r2 = ig.affine_reduction(chain[2], chain[1])
+        r3 = ig.affine_reduction(chain[0], chain[2])
+        middle = identity_reduction(chain[1])
+        composed = compose(r1, middle, r2, r3, r1)
+        f = ig.polynomial(0, 1)
+        # [r1] then the identity, then the run [r2, r3, r1] folded into one link
+        assert affine_depth(composed.encoder(f)) == 2
+        for x in (Fraction(0), Fraction(1, 3), Fraction(2)):
+            assert composed.plan.entry(("ev", x)).source_ids == (("ev", x / 2),)
+        assert verify_reduction(composed, 30).passed
 
 
 class TestPullback:

@@ -63,6 +63,21 @@ class TestWindowApproximant:
         with pytest.raises(WindowOutsideDomain):
             sp.Window(Fraction(2), J)
 
+    @pytest.mark.parametrize("z", [Fraction(0), Fraction(1, 3), Fraction(5, 7), Fraction(1, 2**40 + 1), Fraction(1)])
+    def test_rho_answers_equal_the_approximant(self, z):
+        window = sp.Window(z, J)
+        problem = sp.source_problem(J, ((sp.constant_diagonal(2), window),))
+        ids = [("rho", n) for n in range(1, 65)]
+        expected = tuple(sp.window_approximant(window, n).value for n in range(1, 65))
+        assert tuple(sp._approximant_value(window, n) for n in range(1, 65)) == expected
+        assert problem.queries.answer(ids, problem.inputs.members[0]) == expected
+
+    def test_rho_over_the_budget_is_a_member_refused_when_answered(self):
+        problem = sp.source_problem(J, ((sp.constant_diagonal(2), sp.Window(Fraction(1, 3), J)),))
+        assert ("rho", DEFAULT_BUDGET + 1) in problem.queries
+        with pytest.raises(BudgetExceeded, match=r"window-approximant would need 1000001 dyadic bits"):
+            problem.queries.answer([("rho", DEFAULT_BUDGET + 1)], problem.inputs.members[0])
+
 
 class TestExactOracle:
     def test_finite_list_hit(self):
@@ -278,6 +293,21 @@ class TestStabilization:
         assert query.evaluate(problem.inputs.members[0]) == 0
         query = problem.queries.resolve(("nu", 3, 2, 3, 2))
         assert query.evaluate(problem.inputs.members[0]) == 5  # the fixed block's entry
+
+    def test_nu_members_are_four_int_indices(self, stabilizer):
+        problem = sp.stabilized_problem(J, stabilizer, ((sp.constant_diagonal(2), sp.Window(Fraction(1), J)),))
+        values = (-1, 0, 1, 2, 3, True, False, 1.0, Fraction(1), "1", None)
+
+        def member(qid):  # the rule as a predicate: four ints (bools among them), i, j >= 1, r, s in {1, 2}
+            _, i, r, j, s = qid
+            return all(isinstance(k, int) for k in qid[1:]) and i >= 1 and j >= 1 and r in (1, 2) and s in (1, 2)
+
+        for i, r, j, s in itertools.product(values, repeat=4):
+            qid = ("nu", i, r, j, s)
+            assert (qid in problem.queries) == member(qid), qid
+        assert ("nu", True, True, 1, 2) in problem.queries
+        for qid in (("nu", 1, 1, 1), ("nu", 1, 1, 1, 1, 1), ("mu", 1, 1, 1, 1), ("nu",), ()):
+            assert qid not in problem.queries
 
     def test_union_invariance_over_catalog(self, spectral_source, stabilizer):
         pairs = spectral_source.inputs.members
