@@ -10,7 +10,9 @@ name shipped construction rules; free-form reductions are not accepted.
 from __future__ import annotations
 
 import json
+import math
 import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -18,21 +20,19 @@ from importlib import resources
 from pathlib import Path
 from . import integration, spectral
 from .core import Interval, Problem
-from .errors import CatalogError, WorkbenchError
+from .errors import CatalogError, UnprintableReport, WorkbenchError
 from .reductions import Reduction, identity_reduction
 
 CATALOG_SCHEMA = "sci-workbench/catalog@1"
 
-#: Largest decimal exponent a rational literal may carry. It bounds the cost of
-#: the power of ten that ``Fraction`` builds (10**4300 is about 14,300 bits); 4300
-#: is CPython's limit on the digits of an int string conversion, but a value at
-#: the bound can still be too long to print.
+#: Largest decimal exponent a rational literal may carry: a cost guard, which
+#: bounds the power of ten that ``Fraction`` builds (10**4300 is about 14,300 bits).
 _MAX_EXPONENT = 4300
 #: ``Fraction`` reads an exponent in any Unicode decimal digits, so ``\d`` matches them all.
 _EXPONENT = re.compile(r"[eE][-+]?(\d[\d_]*)\s*\Z")
 
 
-def _bound_exponent(text: str, error: type[WorkbenchError] = CatalogError) -> None:
+def _bound_exponent(text: str, error: type[WorkbenchError]) -> None:
     """Raise ``error`` if ``text`` carries a decimal exponent beyond the bound, before any power of ten is built."""
     match = _EXPONENT.search(text)
     if match is None:
@@ -44,16 +44,67 @@ def _bound_exponent(text: str, error: type[WorkbenchError] = CatalogError) -> No
             raise error(f"rational {text!r} has a decimal exponent beyond {_MAX_EXPONENT} in magnitude")
 
 
-def parse_fraction(value) -> Fraction:
-    """An exact rational from a string or int; a float, a bool or a huge decimal exponent is refused."""
-    if isinstance(value, bool) or isinstance(value, float):
-        raise CatalogError(f"exact rational expected, got {value!r}; encode as string or int")
+def _decimal_digits(n: int) -> int:
+    """The number of decimal digits of ``abs(n)``, counted without converting it to a string."""
+    n = abs(n)
+    # 2^(b-1) <= n < 2^b for b bits, so the count is this estimate or one more
+    estimate = max(1, math.floor((n.bit_length() - 1) * math.log10(2)) + 1)
+    return estimate + 1 if n >= 10**estimate else estimate
+
+
+def _require_printable(value, name: str, error: type[WorkbenchError] = UnprintableReport) -> None:
+    """Raise ``error``, naming ``value``, if it has more digits than the interpreter prints.
+
+    An exact number counts its numerator and denominator; a text, the digits ``Fraction`` converts
+    for them, leading zeros included, as ``int`` counts them. Any other value passes.
+    """
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if not limit:  # no limit
+        return
+    if isinstance(value, str) and len(value) > limit:  # a shorter text has fewer digits
+        numerator, _, denominator = _EXPONENT.split(value)[0].partition("/")
+        terms = {"a numerator of ": numerator, "a denominator of ": denominator}
+    elif isinstance(value, Fraction):
+        terms = {"a numerator of ": value.numerator, "a denominator of ": value.denominator}
+    elif type(value) is int:
+        terms = {"": value}
+    else:
+        return
+    for term, part in terms.items():
+        if isinstance(part, str):
+            digits = sum(map(str.isdecimal, part))
+        else:  # below 2^(3 * limit) = 8^limit < 10^limit, a number has at most limit digits
+            digits = _decimal_digits(part) if part.bit_length() > 3 * limit else 0
+        if digits > limit:
+            raise error(f"{name} has {term}{digits} digits, more than the {limit} the interpreter prints")
+
+
+def parse_fraction(value, error: type[WorkbenchError] = CatalogError) -> Fraction:
+    """The one gate for an outside rational literal, a string or an int; each refusal raises ``error``.
+
+    It refuses a float or a bool; a decimal exponent beyond the bound, before
+    ``Fraction`` builds the power of ten; text that is no rational; and a
+    numerator or denominator with more digits than the interpreter prints,
+    counted in the text before parsing and in the value after, so that every
+    name and report built from the value prints.
+    """
+    if isinstance(value, (bool, float)):
+        raise error(f"exact rational expected, got {value!r}; encode as string or int")
+    name = f"rational {value!r}" if isinstance(value, str) else "rational"  # a long int has no repr
     if isinstance(value, str):
-        _bound_exponent(value)
+        _bound_exponent(value, error)
+        _require_printable(value, name, error)
     try:
-        return Fraction(value)
-    except (ValueError, TypeError, ZeroDivisionError) as exc:
-        raise CatalogError(f"cannot parse rational from {value!r}") from exc
+        result = Fraction(value)
+    except (ValueError, TypeError, ZeroDivisionError):
+        raise error(f"expected a rational like 3/4, got {value!r}") from None
+    _require_printable(result, name, error)
+    return result
+
+
+def parse_json(text: str):
+    """JSON whose integers pass the gate, so that one too long to convert is refused by its digit count."""
+    return json.loads(text, parse_int=lambda literal: int(parse_fraction(literal)))
 
 
 def _object(value, what: str) -> dict:
@@ -89,9 +140,9 @@ def diagonal_from_json(data: dict) -> spectral.DiagonalSpec:
     raise CatalogError(f"unknown diagonal kind {kind!r}")
 
 
-def _interval(raw) -> Interval:
+def _interval(raw, error: type[WorkbenchError] = CatalogError) -> Interval:
     """A two-element ``[a, b]`` array of exact rationals: an integration interval or a spectral domain."""
-    return Interval(*(parse_fraction(v) for v in raw))
+    return Interval(*(parse_fraction(v, error) for v in raw))
 
 
 def _spectral_pairs(params: dict, j_domain: Interval) -> tuple[spectral.Pair, ...]:
@@ -212,11 +263,13 @@ def load_catalog(path: str | Path | None = None) -> Catalog:
 def _build_catalog(location: str, data: bytes) -> Catalog:
     """The typed catalog of one UTF-8 document; an error is raised again on every load, never kept."""
     try:
-        document = json.loads(data.decode("utf-8"))
+        document = parse_json(data.decode("utf-8"))
     except UnicodeDecodeError as exc:
         raise CatalogError(f"cannot read catalog {location}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise CatalogError(f"{location}: invalid JSON at line {exc.lineno}") from exc
+    except CatalogError as exc:  # an integer the gate refused
+        raise CatalogError(f"{location}: {exc}") from exc
 
     if not isinstance(document, dict) or document.get("schema") != CATALOG_SCHEMA:
         raise CatalogError(f"{location}: expected schema {CATALOG_SCHEMA!r}")

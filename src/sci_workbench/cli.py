@@ -24,9 +24,10 @@ from . import certificates as ct
 from . import degrees as dg
 from . import integration as ig
 from . import spectral as sp
-from .catalog import _bound_exponent, diagonal_from_json, function_from_json, load_catalog, reduction_from_json
-from .core import Interval, Problem, evaluate_tower, run_algorithm
-from .errors import CatalogError, NonFiniteReport, UnprintableReport, UsageError, WorkbenchError
+from .catalog import _decimal_digits, _interval as catalog_interval, _require_printable, parse_fraction, parse_json
+from .catalog import diagonal_from_json, function_from_json, load_catalog, reduction_from_json
+from .core import Problem, evaluate_tower, run_algorithm
+from .errors import CatalogError, NonFiniteReport, UsageError, WorkbenchError
 from .reductions import compose, pullback_tower, verify_reduction
 
 REPORT_SCHEMA = "sci-workbench/run-report@1"
@@ -61,16 +62,13 @@ def to_jsonable(value, path: str = "value"):
     An exact number with more digits than the interpreter prints raises
     :class:`UnprintableReport`, which names the number by its ``path``.
     """
-    if isinstance(value, Fraction):
-        _require_printable(value, path)
-        return str(value)
-    if isinstance(value, complex):
-        return [value.real, value.imag]
     if isinstance(value, (str, float, bool)) or value is None:
         return value
-    if isinstance(value, int):
+    if isinstance(value, (Fraction, int)):
         _require_printable(value, path)
-        return value
+        return str(value) if isinstance(value, Fraction) else value
+    if isinstance(value, complex):
+        return [value.real, value.imag]
     if isinstance(value, dict):
         return {str(k): to_jsonable(v, f"{path}.{k}") for k, v in value.items()}
     if isinstance(value, (list, tuple)):
@@ -85,35 +83,6 @@ def to_jsonable(value, path: str = "value"):
     return str(value)
 
 
-def _decimal_digits(n: int) -> int:
-    """The number of decimal digits of ``abs(n)``, counted without converting it to a string."""
-    n = abs(n)
-    # 2^(b-1) <= n < 2^b for b bits, so the count is this estimate or one more
-    estimate = max(1, math.floor((n.bit_length() - 1) * math.log10(2)) + 1)
-    return estimate + 1 if n >= 10**estimate else estimate
-
-
-def _require_printable(value, name: str, error: type[WorkbenchError] = UnprintableReport) -> None:
-    """Raise ``error``, naming ``value``, if it is an exact number with more digits than the interpreter prints.
-
-    A literal at the exponent bound (``1e4300``) has such a value, and so may a result computed
-    from printable ones; any other value passes.
-    """
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
-    if isinstance(value, Fraction):
-        terms = (("a numerator of ", value.numerator), ("a denominator of ", value.denominator))
-    elif type(value) is int:
-        terms = (("", value),)
-    else:
-        return
-    for term, n in terms:
-        # below 2^(3 * limit) = 8^limit < 10^limit, a number has at most limit digits
-        if limit and n.bit_length() > 3 * limit:
-            digits = _decimal_digits(n)
-            if digits > limit:
-                raise error(f"{name} has {term}{digits} digits, more than the {limit} the interpreter prints")
-
-
 def _seed() -> int:
     raw = os.environ.get(SEED_ENV, "0")
     try:
@@ -122,14 +91,26 @@ def _seed() -> int:
         raise UsageError(f"{SEED_ENV} must be an integer, got {raw!r}") from None
 
 
-def _fraction(text: str) -> Fraction:
-    _bound_exponent(text, UsageError)
+#: A command-line rational, and an ``--interval``, ``--domain`` or ``--intervals`` pair, read as
+#: the catalog reads them, through its gate; a refusal is a usage error.
+_fraction = functools.partial(parse_fraction, error=UsageError)
+_interval = functools.partial(catalog_interval, error=UsageError)
+
+
+def _rationals(option: str, text: str) -> list[Fraction]:
+    """``option``'s comma-separated rationals, each read through the gate; a refusal names the option."""
     try:
-        value = Fraction(text)
-    except (ValueError, ZeroDivisionError):
-        raise UsageError(f"expected a rational like 3/4, got {text!r}") from None
-    _require_printable(value, f"rational {text!r}", UsageError)  # names and reports print it
-    return value
+        return [_fraction(entry) for entry in text.split(",")]
+    except UsageError as exc:
+        raise UsageError(f"{option}: {exc}") from None
+
+
+def _integers(option: str, text: str) -> list[int]:
+    """``option``'s comma-separated integers: rationals read through the gate, refused unless whole."""
+    values = _rationals(option, text)
+    if any(value.denominator != 1 for value in values):
+        raise UsageError(f"{option} takes integers, got {text!r}")
+    return [value.numerator for value in values]
 
 
 #: The mini grammar spells the catalog kinds: CLI spelling -> (JSON kind, field names).
@@ -178,17 +159,6 @@ def parse_diagonal_spec(text: str) -> sp.DiagonalSpec:
     return _parse_spelled(text, "diagonal", _DIAGONAL_SPELLINGS, diagonal_from_json)
 
 
-def _interval(ends: Sequence[str]) -> Interval:
-    """An ``--interval`` or ``--domain`` pair, or one part of ``--intervals``, as an interval."""
-    return Interval(_fraction(ends[0]), _fraction(ends[1]))
-
-
-def _points_list(text: str) -> list[Fraction]:
-    if not text.strip():
-        return []
-    return [_fraction(p) for p in text.split(",")]
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse would sys.exit; surface a typed error instead
         raise UsageError(f"{message}\n{self.format_usage()}")
@@ -220,16 +190,13 @@ def build_parser() -> _Parser:
     ireduce.add_argument("--samples", type=int, default=100)
 
     spectral_cmd = top.add_parser("spectral").add_subparsers(dest="action", required=True)
-    decide = spectral_cmd.add_parser("decide")
-    decide.add_argument("--diagonal", required=True)
-    decide.add_argument("--z", required=True)
-    decide.add_argument("--domain", nargs=2, default=("0", "1"), metavar=("J0", "J1"))
+    decide, stabilize = spectral_cmd.add_parser("decide"), spectral_cmd.add_parser("stabilize")
+    for window_cmd in (decide, stabilize):
+        window_cmd.add_argument("--diagonal", required=True)
+        window_cmd.add_argument("--z", required=True)
+        window_cmd.add_argument("--domain", nargs=2, default=("0", "1"), metavar=("J0", "J1"))
     decide.add_argument("--n2", type=int, default=None)
     decide.add_argument("--n1", type=int, default=None)
-    stabilize = spectral_cmd.add_parser("stabilize")
-    stabilize.add_argument("--diagonal", required=True)
-    stabilize.add_argument("--z", required=True)
-    stabilize.add_argument("--domain", nargs=2, default=("0", "1"), metavar=("J0", "J1"))
     stabilize.add_argument("--stabilizer", required=True)
     sreduce = spectral_cmd.add_parser("reduce")
     sreduce.add_argument("--stabilizer", default="const:5")
@@ -257,10 +224,8 @@ def build_parser() -> _Parser:
     saturate.add_argument("--samples", type=int, default=60)
 
     degrees_cmd = top.add_parser("degrees").add_subparsers(dest="action", required=True)
-    join = degrees_cmd.add_parser("join")
-    join.add_argument("--samples", type=int, default=60)
-    meet = degrees_cmd.add_parser("meet")
-    meet.add_argument("--samples", type=int, default=60)
+    for name in ("join", "meet"):
+        degrees_cmd.add_parser(name).add_argument("--samples", type=int, default=60)
     counter = degrees_cmd.add_parser("counterexample")
     counter.add_argument("--class", dest="decoder_class", choices=("cont", "bor", "id"),
                          required=True)
@@ -324,7 +289,7 @@ def _double(args, name: str, value: Fraction) -> float:
 
 
 def _cmd_integrate_adversary(args, seed):
-    points = _points_list(args.points)
+    points = _rationals("--points", args.points) if args.points.strip() else []
     bump = ig.adversary_bump(points)
     integral = bump.integral(bump.u, bump.v)
     vanishes = all(bump.value(p) == 0 for p in points)
@@ -355,18 +320,14 @@ def _cmd_integrate_reduce(args, seed):
     ]
 
 
-def _decide_stages(spec, window, args):
-    n2, n1 = sp.stabilization_stages(spec, window)
-    return (args.n2 if args.n2 is not None else n2, args.n1 if args.n1 is not None else n1)
-
-
 def _cmd_spectral_decide(args, seed):
     j_domain = _interval(args.domain)
     spec = parse_diagonal_spec(args.diagonal)
     window = sp.Window(_fraction(args.z), j_domain)
     problem = sp.source_problem(j_domain, ((spec, window),))
     tower = sp.decision_tower(j_domain)
-    n2, n1 = _decide_stages(spec, window, args)
+    n2, n1 = sp.stabilization_stages(spec, window)
+    n2, n1 = (n2 if args.n2 is None else args.n2), (n1 if args.n1 is None else args.n1)
     stage_value = evaluate_tower(tower, (n2, n1), problem, (spec, window))
     oracle = sp.exact_decision_oracle(spec, window)
     result = {"n2": n2, "n1": n1, "stage_value": stage_value, "oracle": oracle,
@@ -415,11 +376,11 @@ def _cmd_spectral_reduce(args, seed):
 def _cmd_koopman_finite(args, seed):
     from . import koopman as kp  # deferred so that commands loading no catalog skip the Koopman layer
 
-    image = tuple(int(v) for v in args.map.split(","))
+    image = tuple(_integers("--map", args.map))
     table = kp.MapTable(image)
     n = table.size
     weights = (
-        tuple(_fraction(w) for w in args.weights.split(",")) if args.weights else (Fraction(1),) * n
+        tuple(_rationals("--weights", args.weights)) if args.weights else (Fraction(1),) * n
     )
     space = kp.FiniteSpace(weights)
     if args.target == "ap":
@@ -443,7 +404,7 @@ def _cmd_koopman_finite(args, seed):
 
 
 def _cmd_family_classify(args, seed):
-    heights = [int(h) for h in args.heights.split(",")]
+    heights = _integers("--heights", args.heights)
     record = ct.FamilyRecord(
         {f"member-{i}": ct.exact_certificate(f"member-{i}", h, "cli-input")
          for i, h in enumerate(heights)}
@@ -577,7 +538,7 @@ def _cmd_reduce_verify(args, seed):
         except (OSError, UnicodeDecodeError) as exc:
             raise UsageError(f"cannot read --spec file {args.spec!r}: {exc}") from None
     try:
-        spec = json.loads(raw)
+        spec = parse_json(raw)
     except json.JSONDecodeError as exc:
         raise UsageError(f"--spec is neither a file nor valid JSON: {exc}") from None
     reduction = reduction_from_json(spec)
@@ -639,24 +600,8 @@ def _cmd_reduce_pullback(args, seed):
     return result, [CheckItem("pullback equals native stage", gap <= 1e-12, float(gap), 1e-12)]
 
 
-_HANDLERS = {
-    ("integrate", "tower"): _cmd_integrate_tower,
-    ("integrate", "adversary"): _cmd_integrate_adversary,
-    ("integrate", "reduce"): _cmd_integrate_reduce,
-    ("spectral", "decide"): _cmd_spectral_decide,
-    ("spectral", "stabilize"): _cmd_spectral_stabilize,
-    ("spectral", "reduce"): _cmd_spectral_reduce,
-    ("koopman", "finite"): _cmd_koopman_finite,
-    ("family", "classify"): _cmd_family_classify,
-    ("certify", "package"): _cmd_certify_package,
-    ("certify", "saturate"): _cmd_certify_saturate,
-    ("degrees", "join"): _cmd_degrees_join,
-    ("degrees", "meet"): _cmd_degrees_meet,
-    ("degrees", "counterexample"): _cmd_degrees_counterexample,
-    ("reduce", "verify"): _cmd_reduce_verify,
-    ("reduce", "compose"): _cmd_reduce_compose,
-    ("reduce", "pullback"): _cmd_reduce_pullback,
-}
+#: (group, action) -> the handler ``_cmd_<group>_<action>`` of each subcommand.
+_HANDLERS = {tuple(name[5:].split("_", 1)): fn for name, fn in list(globals().items()) if name.startswith("_cmd_")}
 
 
 def _require_finite(value, path: str) -> None:

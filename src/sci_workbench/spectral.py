@@ -31,7 +31,7 @@ from .core import (
     check_budget,
     fixed_query_algorithm,
 )
-from .errors import UncertifiedStabilizer, UnsupportedKind, WindowOutsideDomain
+from .errors import BudgetExceeded, UncertifiedStabilizer, UnsupportedKind, WindowOutsideDomain
 from .reductions import Decoder, DecoderClass, PlanEntry, QueryPlan, Reduction, _take_first
 
 def _interval_distance(z: Fraction, lo: Fraction, hi: Fraction) -> Fraction:
@@ -202,6 +202,10 @@ def _rational_block(spec: RationalEnumeration, count: int) -> tuple[Fraction, ..
     return tuple(out)
 
 
+#: Most entries an enumeration scans for one within eps of a point.
+_ENUMERATION_SCAN = 99999
+
+
 @dataclass(frozen=True)
 class RationalEnumeration(DiagonalSpec):
     """Enumeration (with repetitions) of the rationals in [lo, hi]; closure is [lo, hi]."""
@@ -236,10 +240,10 @@ class RationalEnumeration(DiagonalSpec):
     def approximation_index(self, z, eps) -> int:
         if self.spectrum_distance(z) != 0:
             raise ValueError(f"{z} is not in the spectrum of {self.label()}")
-        for j in range(1, 100000):
+        for j in range(1, _ENUMERATION_SCAN + 1):
             if abs(self.entry(j) - z) <= eps:
                 return j
-        raise RuntimeError("enumeration scan exhausted; eps unreasonably small")
+        raise BudgetExceeded(f"{self.label()}: none of its first {_ENUMERATION_SCAN} entries lies within {eps} of {z}")
 
     def label(self) -> str:
         return f"enum:{self.lo},{self.hi}"

@@ -1,11 +1,12 @@
 import json
 import os
+import sys
 from fractions import Fraction
 
 import pytest
 
 from sci_workbench import catalog
-from sci_workbench.catalog import load_catalog, parse_fraction
+from sci_workbench.catalog import load_catalog, parse_fraction, parse_json
 from sci_workbench.errors import CatalogError
 
 
@@ -71,11 +72,45 @@ def test_at_most_the_bound_of_documents_is_kept(built, tmp_path):
 
 
 @pytest.mark.parametrize("text, value", [
-    ("1e4300", 10**4300), ("-2E-4300", Fraction(-2, 10**4300)), ("1e0004300", 10**4300),
-    ("1e\u0664\u0663\u0660\u0660", 10**4300), ("3/4", Fraction(3, 4)), (" 1.5e1 ", 15),
-], ids=["bound", "negative-bound", "leading-zeros", "arabic-indic-bound", "ratio", "spaced"])
-def test_a_decimal_exponent_up_to_the_bound_parses(text, value):
+    ("1e4299", 10**4299), ("-2E-4299", Fraction(-2, 10**4299)), ("1e0004299", 10**4299),
+    ("1e\u0664\u0662\u0669\u0669", 10**4299), ("-2E-4300", Fraction(-1, 5 * 10**4299)),
+    ("3/4", Fraction(3, 4)), (" 1.5e1 ", 15),
+], ids=["bound", "negative-bound", "leading-zeros", "arabic-indic-bound", "reduced", "ratio", "spaced"])
+def test_a_decimal_exponent_up_to_the_bound_parses(text, value, print_limit):
+    # 10^4299 is the largest power of ten that prints; the value counts, not its spelling
     assert parse_fraction(text) == value
+
+
+@pytest.mark.parametrize("text, term", [
+    ("1e4300", "a numerator"), ("-1E-4300", "a denominator"), ("1e0004300", "a numerator"),
+    ("1e\u0664\u0663\u0660\u0660", "a numerator"), ("1" + "0" * 4300, "a numerator"),
+    ("0" * 4299 + "1.5", "a numerator"), ("1/" + "0" * 4300 + "3", "a denominator"),
+], ids=["bound", "negative-bound", "leading-zeros", "arabic-indic-bound", "written-out", "decimals", "ratio"])
+def test_a_literal_beyond_the_print_limit_is_refused_by_its_digit_count(text, term, print_limit):
+    # the exponent is within the cost bound, but the value, or the digits int would convert, do not print
+    with pytest.raises(CatalogError) as exc:
+        parse_fraction(text)
+    assert str(exc.value) == f"rational {text!r} has {term} of 4301 digits, more than the 4300 the interpreter prints"
+    assert exc.value.__cause__ is None
+
+
+def test_an_int_beyond_the_print_limit_is_refused_without_its_repr(print_limit):
+    assert parse_fraction(10**4300 - 1) == 10**4300 - 1
+    with pytest.raises(CatalogError, match="^rational has a numerator of 4301 digits, more than the 4300"):
+        parse_fraction(10**4300)
+
+
+def test_a_limit_of_zero_refuses_no_digits(print_limit):
+    sys.set_int_max_str_digits(0)
+    assert parse_fraction("1e4300") == 10**4300
+    assert parse_json("[" + "9" * 5000 + "]") == [10**5000 - 1]
+
+
+def test_json_integers_pass_the_gate(print_limit):
+    assert parse_json('{"a": [-12, 0, 3], "b": "1/2"}') == {"a": [-12, 0, 3], "b": "1/2"}
+    assert type(parse_json("7")) is int
+    with pytest.raises(CatalogError, match="^rational '-1000.*0' has a numerator of 4301 digits"):
+        parse_json("[-1" + "0" * 4300 + "]")
 
 
 @pytest.mark.parametrize("text", [

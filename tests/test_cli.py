@@ -427,15 +427,6 @@ def test_huge_decimal_exponent_exits_2_before_parsing(argv, message, capsys):
     assert captured.err == message and captured.out == ""
 
 
-@pytest.fixture
-def print_limit():
-    """CPython's default limit on the digits of an int string conversion, restored afterwards."""
-    before = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(4300)
-    yield 4300
-    sys.set_int_max_str_digits(before)
-
-
 @pytest.mark.parametrize("argv, message", [
     # a literal at the exponent bound: 10^4300 has 4301 digits, and the problem's name prints it
     (["integrate", "tower", "--interval", "0", "1e4300", "--function", "poly:1", "--n", "2"],
@@ -461,12 +452,108 @@ def test_exact_value_at_the_print_limit_prints(print_limit, capsys):
     assert result["value"] == result["exact"] == "1" + "0" * 4299
 
 
+def _catalog_with(tmp_path, end: str) -> str:
+    """A catalog whose entry 0 is an integration over [0, end], ``end`` written into the JSON as is,
+    followed by the packaged entries; the spectral commands use the packaged spectral source."""
+    packaged = json.loads(default_catalog_path().read_text(encoding="utf-8"))
+    path = tmp_path / "catalog.json"
+    entries = ",".join(json.dumps(entry) for entry in packaged["entries"])
+    path.write_text(
+        f'{{"schema": "{packaged["schema"]}", "entries": [{{"problem": "integration",'
+        f' "params": {{"interval": ["0", {end}]}}}}, {entries}]}}',
+        encoding="utf-8",
+    )
+    return str(path)
+
+
+def _verify_spec(end: str) -> str:
+    return f'{{"rule": "integration_affine", "params": {{"target": ["0", {end}]}}}}'
+
+
+#: Every door a rational literal comes in by: the literal -> (argv, the refusal's prefix).
+#: A JSON door writes the literal into the document as a string or as an integer.
+LITERAL_DOORS = {
+    "rational": lambda v, tmp: (
+        ["integrate", "tower", "--interval", "0", v, "--function", "poly:1", "--n", "2"], "usage error: "),
+    "poly-field": lambda v, tmp: (
+        ["integrate", "tower", "--interval", "0", "1", "--function", f"poly:{v}", "--n", "2"],
+        f"usage error: bad function spec 'poly:{v}': "),
+    "const-field": lambda v, tmp: (
+        ["spectral", "reduce", "--stabilizer", f"const:{v}", "--samples", "2"],
+        f"usage error: bad diagonal spec 'const:{v}': "),
+    "spec-string": lambda v, tmp: (
+        ["reduce", "verify", "--spec", _verify_spec(json.dumps(v)), "--samples", "2"], "catalog error: "),
+    "spec-integer": lambda v, tmp: (
+        ["reduce", "verify", "--spec", _verify_spec(v), "--samples", "2"], "catalog error: "),
+    "catalog-string": lambda v, tmp: (
+        ["--catalog", _catalog_with(tmp, json.dumps(v)), "spectral", "reduce", "--samples", "2"],
+        f"catalog error: {tmp / 'catalog.json'}: entry 0: "),
+    "catalog-integer": lambda v, tmp: (
+        ["--catalog", _catalog_with(tmp, v), "spectral", "reduce", "--samples", "2"],
+        f"catalog error: {tmp / 'catalog.json'}: "),
+    # an image is a point of 1..N, so the literal spells 1 with leading zeros, which int counts
+    "map": lambda v, tmp: (["koopman", "finite", "--map", v[:-1].replace("1", "0") + "1"], "usage error: --map: "),
+    "heights": lambda v, tmp: (["family", "classify", "--heights", f"0,{v}", "--k", "1"], "usage error: --heights: "),
+}
+
+
+@pytest.mark.parametrize("print_limit", [4300, 640], indirect=True, ids=["default-limit", "lowered-limit"])
+@pytest.mark.parametrize("door, spelling", [
+    (door, spelling) for door in LITERAL_DOORS for spelling in ("written-out", "exponent")
+    if spelling == "written-out" or door not in ("spec-integer", "catalog-integer", "map")
+])  # a JSON integer has no exponent, and a map image is a small integer
+def test_every_door_takes_a_literal_up_to_the_print_limit_and_refuses_one_digit_more(
+    door, spelling, print_limit, tmp_path, capsys
+):
+    for digits, code in ((print_limit, 0), (print_limit + 1, 2)):
+        literal = "1" + "0" * (digits - 1) if spelling == "written-out" else f"1e{digits - 1}"
+        argv, prefix = LITERAL_DOORS[door](literal, tmp_path)
+        assert main(["--json", *argv]) == code, (door, digits)
+        out, err = capsys.readouterr()
+        if code == 0:
+            assert err == "" and json.loads(out)["schema"] == "sci-workbench/run-report@1"
+        else:
+            shown = argv[argv.index("--map") + 1] if door == "map" else literal
+            assert err == f"{prefix}rational {shown!r} has a numerator of {digits} digits," \
+                f" more than the {print_limit} the interpreter prints\n"
+            assert out == ""
+
+
 def test_decimal_digits_counts_without_a_string(print_limit):
     from sci_workbench.cli import _decimal_digits
 
     for n in (0, 1, 9, 10, 99, 100, 2**64, 10**17 - 1, 10**17, 10**4299, 10**4300 - 1):
         assert _decimal_digits(n) == _decimal_digits(-n) == len(str(n))
     assert _decimal_digits(10**4300) == 4301 and _decimal_digits(10**9999 - 1) == 9999
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["koopman", "finite", "--map", "3/2,1"], "--map takes integers, got '3/2,1'"),
+    (["koopman", "finite", "--map", "2,x"], "--map: expected a rational like 3/4, got 'x'"),
+    (["koopman", "finite", "--map", "2,1", "--weights", "1,"], "--weights: expected a rational like 3/4, got ''"),
+    (["family", "classify", "--heights", "0,1e4301", "--k", "1"],
+     "--heights: rational '1e4301' has a decimal exponent beyond 4300 in magnitude"),
+    (["integrate", "adversary", "--points", "1/2,1/0"], "--points: expected a rational like 3/4, got '1/0'"),
+], ids=["map-fraction", "map-text", "weights-empty", "heights-exponent", "points-zero-denominator"])
+def test_list_entries_pass_the_gate_and_name_their_option(argv, message, capsys):
+    assert main(["--json", *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"usage error: {message}\n" and captured.out == ""
+
+
+def test_list_entries_read_as_the_gate_reads_them(capsys):
+    # an integer entry may be spelled as any whole rational, as the gate reads it
+    assert main(["--json", "koopman", "finite", "--map", "4/2,1.0"]) == 0
+    assert json.loads(capsys.readouterr().out)["result"]["queries"] == 2
+
+
+def test_enumeration_scan_that_finds_no_entry_exits_2_by_name(capsys):
+    # [0, 10^10] holds no entry within 3/32 of 1/2 among the integers it enumerates first
+    assert main(["--json", "spectral", "decide", "--diagonal", "enum:0,1e10", "--z", "1/2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: BudgetExceeded: enum:0,10000000000: none of its first 99999 entries lies" \
+        " within 3/32 of 1/2\n"
+    assert captured.out == ""
 
 
 def test_malformed_rational_keeps_its_usage_message(capsys):
