@@ -10,7 +10,6 @@ name shipped construction rules; free-form reductions are not accepted.
 from __future__ import annotations
 
 import json
-import math
 import re
 import sys
 from dataclasses import dataclass
@@ -19,7 +18,7 @@ from functools import lru_cache
 from importlib import resources
 from pathlib import Path
 from . import integration, spectral
-from .core import Interval, Problem
+from .core import Interval, Problem, _decimal_digits
 from .errors import CatalogError, UnprintableReport, WorkbenchError
 from .reductions import Reduction, identity_reduction
 
@@ -42,14 +41,6 @@ def _bound_exponent(text: str, error: type[WorkbenchError]) -> None:
         magnitude = 10 * magnitude + int(digit)
         if magnitude > _MAX_EXPONENT:
             raise error(f"rational {text!r} has a decimal exponent beyond {_MAX_EXPONENT} in magnitude")
-
-
-def _decimal_digits(n: int) -> int:
-    """The number of decimal digits of ``abs(n)``, counted without converting it to a string."""
-    n = abs(n)
-    # 2^(b-1) <= n < 2^b for b bits, so the count is this estimate or one more
-    estimate = max(1, math.floor((n.bit_length() - 1) * math.log10(2)) + 1)
-    return estimate + 1 if n >= 10**estimate else estimate
 
 
 def _require_printable(value, name: str, error: type[WorkbenchError] = UnprintableReport) -> None:

@@ -24,9 +24,9 @@ from . import certificates as ct
 from . import degrees as dg
 from . import integration as ig
 from . import spectral as sp
-from .catalog import _decimal_digits, _interval as catalog_interval, _require_printable, parse_fraction, parse_json
+from .catalog import _interval as catalog_interval, _require_printable, parse_fraction, parse_json
 from .catalog import diagonal_from_json, function_from_json, load_catalog, reduction_from_json
-from .core import Problem, evaluate_tower, run_algorithm
+from .core import Problem, _magnitude, evaluate_tower, run_algorithm
 from .errors import CatalogError, NonFiniteReport, UsageError, WorkbenchError
 from .reductions import compose, pullback_tower, verify_reduction
 
@@ -57,18 +57,23 @@ class RunReport:
 
 
 def to_jsonable(value, path: str = "value"):
-    """Lossless-enough JSON encoding: exact rationals as strings, complex as pairs.
+    """The one report walk: strict JSON data, exact rationals as strings, complex as pairs.
 
     An exact number with more digits than the interpreter prints raises
-    :class:`UnprintableReport`, which names the number by its ``path``.
+    :class:`UnprintableReport`, and an infinite or NaN float, a complex part
+    included, raises :class:`NonFiniteReport`; each names the value by its ``path``.
     """
-    if isinstance(value, (str, float, bool)) or value is None:
+    if isinstance(value, float):
+        if not math.isfinite(value):
+            raise NonFiniteReport(f"{path} is {value!r}, which strict JSON cannot encode")
+        return value
+    if isinstance(value, (str, bool)) or value is None:
         return value
     if isinstance(value, (Fraction, int)):
         _require_printable(value, path)
         return str(value) if isinstance(value, Fraction) else value
     if isinstance(value, complex):
-        return [value.real, value.imag]
+        return [to_jsonable(value.real, f"{path}[0]"), to_jsonable(value.imag, f"{path}[1]")]
     if isinstance(value, dict):
         return {str(k): to_jsonable(v, f"{path}.{k}") for k, v in value.items()}
     if isinstance(value, (list, tuple)):
@@ -281,9 +286,8 @@ def _double(args, name: str, value: Fraction) -> float:
     try:
         return float(value)
     except OverflowError:
-        digits = _decimal_digits(abs(value.numerator) // value.denominator)
         raise ValueError(
-            f"--interval {' '.join(args.interval)} gives a left-endpoint {name} of about 10^{digits - 1},"
+            f"--interval {' '.join(args.interval)} gives a left-endpoint {name} of {_magnitude(value)},"
             " which is out of double range"
         ) from None
 
@@ -293,10 +297,11 @@ def _cmd_integrate_adversary(args, seed):
     bump = ig.adversary_bump(points)
     integral = bump.integral(bump.u, bump.v)
     vanishes = all(bump.value(p) == 0 for p in points)
-    result = {"u": bump.u, "v": bump.v, "integral": integral}
+    # the walk names the first value too long to print: the integral, then u and v
+    result = {"integral": integral, "u": bump.u, "v": bump.v}
     checks = [
         CheckItem("vanishes at every query point", vanishes),
-        CheckItem("positive integral", integral > 0, to_jsonable(integral, "result.integral")),
+        CheckItem("positive integral", integral > 0, integral),
     ]
     # replay demo: defeat the stage-4 rectangle protocol by avoiding its nodes too
     unit = ig.interval(0, 1)
@@ -604,26 +609,14 @@ def _cmd_reduce_pullback(args, seed):
 _HANDLERS = {tuple(name[5:].split("_", 1)): fn for name, fn in list(globals().items()) if name.startswith("_cmd_")}
 
 
-def _require_finite(value, path: str) -> None:
-    """Refuse a JSON-ready value holding Infinity or NaN, naming the first such field."""
-    if isinstance(value, float):
-        if not math.isfinite(value):
-            raise NonFiniteReport(f"{path} is {value!r}, which strict JSON cannot encode")
-    elif isinstance(value, dict):
-        for key, item in value.items():
-            _require_finite(item, f"{path}.{key}")
-    elif isinstance(value, list):
-        for index, item in enumerate(value):
-            _require_finite(item, f"{path}[{index}]")
-
-
 def dispatch(argv: Sequence[str]) -> RunReport:
     """Parse, execute and report one subcommand; raises UsageError/CatalogError.
 
-    A report whose result or checks hold Infinity or NaN raises
-    :class:`NonFiniteReport` instead of being returned, and one holding an
-    exact number with more digits than the interpreter prints raises
-    :class:`UnprintableReport` (see :func:`to_jsonable`).
+    The parameters, result and checks are encoded by :func:`to_jsonable`, in
+    that order, so the report holds strict JSON data: one that would hold
+    Infinity or NaN raises :class:`NonFiniteReport` instead of being returned,
+    and one holding an exact number with more digits than the interpreter
+    prints raises :class:`UnprintableReport`.
     """
     args = build_parser().parse_args(list(argv))
     seed = _seed()
@@ -635,16 +628,13 @@ def dispatch(argv: Sequence[str]) -> RunReport:
         for key, value in vars(args).items()
         if key not in ("group", "action", "json") and value is not None
     }
-    report = RunReport(
+    return RunReport(
         command=f"{args.group} {action}",
-        parameters=to_jsonable(parameters),
+        parameters=to_jsonable(parameters, "parameters"),
         result=to_jsonable(result, "result"),
-        checks=checks,
+        checks=[CheckItem(**check) for check in to_jsonable(checks, "checks")],
         seed=seed,
     )
-    _require_finite(report.result, "result")
-    _require_finite(to_jsonable(checks, "checks"), "checks")
-    return report
 
 
 def _print_human(report: RunReport) -> None:
@@ -675,7 +665,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 2
     try:
         if "--json" in argv:
-            print(json.dumps(to_jsonable(report), indent=2, sort_keys=True))
+            # the report already holds JSON data; ``vars`` opens it and its checks
+            print(json.dumps(report, default=vars, indent=2, sort_keys=True))
         else:
             _print_human(report)
         sys.stdout.flush()

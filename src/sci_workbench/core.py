@@ -20,6 +20,7 @@ and :func:`probe_convergence` reports finite-stage stabilization instead.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Callable, Generator, Iterable, Iterator, Sequence
@@ -295,10 +296,30 @@ class GeneralAlgorithm:
             raise ValueError("budget must be a positive integer")
 
 
+def _decimal_digits(n: int) -> int:
+    """The number of decimal digits of ``abs(n)``, counted without converting it to a string."""
+    n = abs(n)
+    # 2^(b-1) <= n < 2^b for b bits, so the count is this estimate or one more
+    estimate = max(1, math.floor((n.bit_length() - 1) * math.log10(2)) + 1)
+    return estimate + 1 if n >= 10**estimate else estimate
+
+
+def _magnitude(x) -> str:
+    """``x``'s size as ``about 10^k``, from the digits of its integer part, without printing it."""
+    return f"about 10^{_decimal_digits(abs(x.numerator) // x.denominator) - 1}"
+
+
 def check_budget(name: str, count: int, unit: str = "queries", budget: int = DEFAULT_BUDGET) -> None:
-    """Refuse, before anything is allocated, a request for more than ``budget`` of ``unit``."""
+    """Refuse, before anything is allocated, a request for more than ``budget`` of ``unit``.
+
+    A count with more digits than the interpreter prints is named by its magnitude.
+    """
     if count > budget:
-        raise BudgetExceeded(f"{name} would need {count} {unit}, over the budget of {budget} {unit}")
+        try:
+            amount = str(count)
+        except ValueError:
+            amount = _magnitude(count)
+        raise BudgetExceeded(f"{name} would need {amount} {unit}, over the budget of {budget} {unit}")
 
 
 def fixed_query_algorithm(

@@ -24,6 +24,7 @@ from .core import (
     Problem,
     QueryFamily,
     Tower,
+    _magnitude,
     _randbelow,
     check_budget,
     fixed_query_algorithm,
@@ -284,8 +285,12 @@ class AffineImage(FunctionDescription):
             if self.kernel is not None:
                 return Fraction(*self.kernel(p, q))
             m, k, d = self._inner
-            return self.scale * self.base.value(Fraction(m * p + k * q, d * q))
-        return self.scale * self.base.value(self.alpha * x + self.beta)
+            v = self.base.value(Fraction(m * p + k * q, d * q))
+        else:
+            v = self.base.value(self.alpha * x + self.beta)
+        if type(v) is float:  # what scale * v computes, with a scale out of double range named
+            return _double(self.scale, "an affine image's scale") * v
+        return self.scale * v
 
     def integral(self, a, b):
         if type(a) in _EXACT and type(b) in _EXACT:
@@ -321,6 +326,16 @@ def default_functions(iv: Interval) -> tuple[FunctionDescription, ...]:
         return _INTERVAL_FREE_DEFAULTS
     width = iv.length
     return (*_INTERVAL_FREE_DEFAULTS, Bump(iv.a + width / 4, iv.a + 3 * width / 4))
+
+
+def _double(value: Fraction, what: str) -> float:
+    """``value`` as a double; one out of double range raises OverflowError naming ``what`` by its magnitude."""
+    try:
+        return float(value)
+    except OverflowError:
+        raise OverflowError(
+            f"{what} is {_magnitude(value)}, which is out of double range, so no float can be scaled by it"
+        ) from None
 
 
 def _is_coordinate(x) -> bool:
@@ -525,17 +540,25 @@ def affine_reduction(target: Problem, source: Problem | None = None) -> Reductio
         return AffineImage(f, ratio, ratio, shift)
 
     point = _ev_point(t)
+    name = f"affine[{s}->{t}]"
     rn, rd = ratio.numerator, ratio.denominator
     sn, sd = shift.numerator, shift.denominator
     m, k, d = rn * sd, sn * rd, rd * sd  # ratio*x + shift = (m*p + k*q) / (d*q) for x = p/q
-    ratio_float = float(ratio)  # what float * Fraction converts the Fraction to, on every call
+    # what float * Fraction converts the Fraction to, built on the first float answer:
+    # a ratio out of double range fails only a reduction that meets a float
+    ratio_float = None
 
     def combine(vals):
+        nonlocal ratio_float
         z = vals[0]
         if type(z) is Fraction:
             return Fraction(rn * z.numerator, rd * z.denominator)
         if type(z) is float:
-            return z * ratio_float
+            try:  # free on the path that has the double
+                return z * ratio_float
+            except TypeError:  # float * None: the first float answer
+                ratio_float = _double(ratio, f"the length ratio of {name}")
+                return z * ratio_float
         return z * ratio
 
     def rule(qid):
@@ -546,12 +569,12 @@ def affine_reduction(target: Problem, source: Problem | None = None) -> Reductio
         return PlanEntry((("ev", Fraction(m * p + k * q, d * q)),), combine)
 
     reduction = Reduction(
-        name=f"affine[{s}->{t}]",
+        name=name,
         source=source,
         target=target,
         encoder=encoder,
         decoder=Decoder(lambda y: y, DecoderClass.CONT, "identity"),
-        plan=QueryPlan(f"affine[{s}->{t}]", rule),
+        plan=QueryPlan(name, rule),
     )
     object.__setattr__(reduction, "fold", _fold_affine)
     return reduction

@@ -266,6 +266,11 @@ class TestReduceCompose:
         chain = ";".join(f"0,{k}" for k in range(1, cli._MAX_CHAIN + 1))
         assert main(["reduce", "compose", "--intervals", chain, "--samples", "2"]) == 0
 
+    def test_a_link_whose_ratio_has_no_double_folds_away(self):
+        # the second link scales by 10^4299 / 4, beyond any double; the fold's ratio is 1/4
+        report = dispatch(["reduce", "compose", "--intervals", "0,1;0,1e4299;0,4", "--samples", "20"])
+        assert report.passed and report.result["report"]["query_failures"] == 0
+
     @pytest.mark.parametrize("part", ["0,2,3", "0", ""])
     def test_a_part_that_is_not_an_interval_is_named(self, part, capsys):
         assert main(["reduce", "compose", "--intervals", f"0,1;{part};0,4"]) == 2
@@ -364,6 +369,29 @@ def test_non_finite_report_exits_2(capsys):
         dispatch(argv[1:])
 
 
+@pytest.mark.parametrize("argv, path", [
+    (["koopman", "finite", "--map", "2,1", "--epsilon", "nan"], "parameters.epsilon is nan"),
+    (["koopman", "finite", "--map", "2,1", "--target", "ap", "--grid", "0", "1", "0", "1", "nan"],
+     "parameters.grid[4] is nan"),
+    (["koopman", "finite", "--map", "2,1", "--target", "ap", "--grid", "0", "inf", "0", "1", "0.5"],
+     "parameters.grid[1] is inf"),
+], ids=["epsilon", "grid-spacing", "grid-end"])
+def test_non_finite_parameter_exits_2_by_name_in_both_modes(argv, path, capsys):
+    # the ap target reads neither option, but the report would still print it
+    for flag in (["--json"], []):
+        assert main([*flag, *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: NonFiniteReport: {path}, which strict JSON cannot encode\n"
+        assert captured.out == ""
+
+
+def test_the_report_walk_names_a_non_finite_complex_part():
+    with pytest.raises(NonFiniteReport, match=r"^value\.z\[1\] is nan, which strict JSON"):
+        to_jsonable({"z": complex(1.0, math.nan)})
+    with pytest.raises(NonFiniteReport, match=r"^result\[0\]\[0\] is inf, which strict JSON"):
+        to_jsonable([complex(math.inf, 0.0)], "result")
+
+
 OUT_OF_DOUBLE_RANGE = {
     "integrate-tower": ["integrate", "tower", "--interval", "0", "1e400", "--function", "sine:1,1",
                         "--n", "4"],
@@ -380,6 +408,29 @@ def test_rational_out_of_double_range_exits_2(argv, capsys):
     captured = capsys.readouterr()
     assert captured.err.startswith("bad argument value: ") and "Traceback" not in captured.err
     assert captured.out == ""
+
+
+def test_exact_pullback_runs_on_a_length_with_no_double(capsys):
+    # the length ratio is 10^400: no float answer needs it as a double
+    assert main(["--json", "reduce", "pullback", "--interval", "0", "1e-400", "--n", "4"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["result"] == {"stage": 4, "pulled_back": "3/8", "native": "3/8"}
+
+
+@pytest.mark.parametrize("argv, named", [
+    (["integrate", "reduce", "--interval", "0", "1e-400", "--samples", "3"], "an affine image's scale"),
+    (["reduce", "pullback", "--interval", "0", "1e-400", "--n", "4", "--function", "sine:1,1"],
+     "the length ratio of affine[[0,1]->[0,1/1" + "0" * 400 + "]]"),
+], ids=["integrate-reduce", "reduce-pullback-sine"])
+def test_float_answer_scaled_out_of_double_range_is_named(argv, named, capsys):
+    for flag in (["--json"], []):
+        assert main([*flag, *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == (
+            f"bad argument value: {named} is about 10^400, which is out of double range,"
+            " so no float can be scaled by it\n"
+        )
+        assert captured.out == ""
 
 
 @pytest.mark.parametrize("command", ["integrate-tower", "reduce-pullback"])
@@ -520,7 +571,7 @@ def test_every_door_takes_a_literal_up_to_the_print_limit_and_refuses_one_digit_
 
 
 def test_decimal_digits_counts_without_a_string(print_limit):
-    from sci_workbench.cli import _decimal_digits
+    from sci_workbench.core import _decimal_digits
 
     for n in (0, 1, 9, 10, 99, 100, 2**64, 10**17 - 1, 10**17, 10**4299, 10**4300 - 1):
         assert _decimal_digits(n) == _decimal_digits(-n) == len(str(n))
@@ -777,6 +828,12 @@ OVERSIZED = {
                                 "--samples", "10000000"],
     "degrees-join-samples": ["degrees", "join", "--samples", "10000000"],
 }
+# the same requests with counts too long to print: the budget message names them by magnitude
+OVERSIZED.update({
+    f"{name}-4300-digits": OVERSIZED[name][:-1] + ["9" * 4300]
+    for name in ("integrate-reduce-samples", "certify-package-samples", "degrees-join-samples",
+                 "reduce-verify-samples", "spectral-decide-n1")
+})
 
 
 @pytest.mark.parametrize("argv", OVERSIZED.values(), ids=OVERSIZED.keys())

@@ -4,14 +4,16 @@ Each example picks one of the 16 subcommands and fills its options from
 pools of valid, malformed and out-of-range values; an option may be left
 out and a stray token added.  Accepted sizes stay small (stages up to 64,
 a few samples, coarse grids), so no example runs much longer than a
-second; the oversized values (2 * 10^6 stages, 10^7 samples) must be
-refused before any work starts. Literals at the interpreter's print limit
-must be accepted or refused by the rational gate's own message, never by
-the interpreter's.
+second; the oversized values (2 * 10^6 stages, 10^7 samples, and counts
+written with 4300 digits) must be refused before any work starts. Literals
+at the interpreter's print limit, and lengths out of double range, must be
+accepted or refused by the workbench's own message, never by the
+interpreter's. A report that is printed is strict JSON: no Infinity or NaN.
 """
 
 import contextlib
 import io
+import json
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -26,11 +28,11 @@ INTEGERS_AT_THE_BOUND = AT_THE_BOUND[-2:]
 
 RATIONAL = st.sampled_from(
     ["0", "1", "1/2", "1/3", "3/4", "2", "5/2", "-1", "-3/4", "x", "", "1/0", "1.5", "nan", "inf", "1e40", "1e400",
-     *AT_THE_BOUND]
+     "1e-400", *AT_THE_BOUND]
 )
-STAGE = st.sampled_from(["-1", "0", "1", "3", "16", "64", "2000000", "x", "1.5", ""])
+STAGE = st.sampled_from(["-1", "0", "1", "3", "16", "64", "2000000", "9" * 4300, "x", "1.5", ""])
 OUTER = st.sampled_from(["-2", "0", "1", "3", "12", "x"])
-SAMPLES = st.sampled_from(["-1", "0", "1", "3", "8", "10000000", "x"])
+SAMPLES = st.sampled_from(["-1", "0", "1", "3", "8", "10000000", "9" * 4300, "x"])
 FUNCTION = st.sampled_from(
     ["poly:0,1", "poly:", "poly:1/2,-1/3", "poly:x", "sine:1.0,1.0", "sine:inf,1", "sine:1,0",
      "sine:1", "bump:1/4,3/4", "bump:3/4,1/4", "bump:1", "foo:1", "",
@@ -125,6 +127,10 @@ def argvs(draw):
     return argv
 
 
+def _refuse_constant(name):
+    raise ValueError(f"{name} is not strict JSON")
+
+
 @settings(max_examples=150, deadline=None)
 @given(argvs())
 def test_any_argv_exits_0_1_or_2_without_traceback(argv):
@@ -136,3 +142,5 @@ def test_any_argv_exits_0_1_or_2_without_traceback(argv):
     # the interpreter's own words for an int too long to convert or a quotient out of double range
     for leak in ("Exceeds the limit", "integer division result too large"):
         assert leak not in err.getvalue()
+    if code in (0, 1) and "--json" in argv:
+        json.loads(out.getvalue(), parse_constant=_refuse_constant)

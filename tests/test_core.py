@@ -13,6 +13,7 @@ from sci_workbench.core import (
     Interval,
     QueryFamily,
     QueryTrace,
+    check_budget,
     check_consistency,
     check_locality,
     constant_algorithm,
@@ -137,6 +138,14 @@ class TestRunAlgorithm:
         alg = GeneralAlgorithm("loop", loop, budget=16)
         with pytest.raises(BudgetExceeded):
             run_algorithm(alg, unit_problem, ig.polynomial(1))
+
+    @pytest.mark.parametrize("count, amount", [
+        (10**6 + 1, "1000001"), (10**4300 - 1, "9" * 4300), (10**4300, "about 10^4300"), (15 * 10**9998, "about 10^9999"),
+    ], ids=["printable", "at-the-print-limit", "one-digit-more", "far-beyond"])
+    def test_budget_message_names_a_count_too_long_to_print_by_its_magnitude(self, count, amount, print_limit):
+        with pytest.raises(BudgetExceeded) as refused:
+            check_budget("run", count)
+        assert str(refused.value) == f"run would need {amount} queries, over the budget of 1000000 queries"
 
     def test_empty_trace_rejected(self, unit_problem):
         def mute():
